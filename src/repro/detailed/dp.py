@@ -19,7 +19,7 @@ from ..legalize.macros import macro_obstacles
 from ..legalize.rows import RowMap, snap_placement_to_sites
 from ..netlist import Netlist, Placement
 from ..netlist.validate import check_legal
-from .incremental import HPWLDelta
+from .incremental import HPWLDelta, placement_cost
 from .passes import global_swap_pass, local_reorder_pass, row_shift_pass
 from .structure import RowStructure
 
@@ -106,7 +106,7 @@ class DetailedPlacer:
                 site_align=True,
             )
             result = snap_placement_to_sites(nl, result, rowmap)
-        after = HPWLDelta(nl, result).total_hpwl()
+        after = placement_cost(nl, result)
         self.last_report = DetailedPlacementReport(
             hpwl_before=before, hpwl_after=after,
             rounds=rounds, moves=total_moves,

@@ -2,8 +2,13 @@
 
 Detailed placement tries thousands of candidate moves; recomputing the
 full HPWL each time would dominate runtime.  :class:`HPWLDelta` keeps the
-per-net bounding boxes and recomputes only the nets incident to the cells
-a move touches (nets are small, so each evaluation is O(pins-on-cell)).
+per-net costs and recomputes only the nets incident to the cells a move
+touches (nets are small, so each evaluation is O(pins-on-cell)).
+
+Every figure is bit-identical to evaluating the same nets with numpy:
+the old cost of a move is summed in numpy's pairwise order
+(:func:`pairwise_sum`), and min/max and the span arithmetic are the same
+IEEE operations whether done on numpy scalars or Python floats.
 """
 
 from __future__ import annotations
@@ -12,75 +17,146 @@ import numpy as np
 
 from ..netlist import Netlist, Placement
 
+__all__ = ["HPWLDelta", "pairwise_sum", "placement_cost"]
+
+
+def pairwise_sum(values: list[float]) -> float:
+    """Sum ``values`` exactly as ``np.sum`` sums a contiguous float64 array.
+
+    numpy adds fewer than 8 values left to right, up to 128 with eight
+    strided accumulators combined as a tree, and splits longer arrays in
+    two halves (rounded down to a multiple of 8), recursively.  The
+    result is then added to the reduction's 0.0.
+    """
+    n = len(values)
+    if n < 8:
+        res = 0.0
+        for v in values:
+            res += v
+        return res
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+        m = n - n % 8
+        for i in range(8, m, 8):
+            r0 += values[i]
+            r1 += values[i + 1]
+            r2 += values[i + 2]
+            r3 += values[i + 3]
+            r4 += values[i + 4]
+            r5 += values[i + 5]
+            r6 += values[i + 6]
+            r7 += values[i + 7]
+        res = 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+        for i in range(m, n):
+            res += values[i]
+        return res
+    half = n // 2
+    half -= half % 8
+    return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
+
+
+def _net_spans(netlist: Netlist, x: np.ndarray,
+               y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Width and height of every net's pin bounding box."""
+    nl = netlist
+    px = x[nl.pin_cell] + nl.pin_dx
+    py = y[nl.pin_cell] + nl.pin_dy
+    starts = nl.net_start[:-1]
+    xspan = np.maximum.reduceat(px, starts) - np.minimum.reduceat(px, starts)
+    yspan = np.maximum.reduceat(py, starts) - np.minimum.reduceat(py, starts)
+    return xspan, yspan
+
+
+def placement_cost(netlist: Netlist, placement: Placement) -> float:
+    """Weighted HPWL of a placement, equal bit for bit to
+    ``HPWLDelta(netlist, placement).total_hpwl()`` without building the
+    evaluator's tables."""
+    xspan, yspan = _net_spans(netlist, placement.x, placement.y)
+    return float(((xspan + yspan) * netlist.net_weights).sum())
+
 
 class HPWLDelta:
-    """Mutable placement wrapper with O(local) HPWL move evaluation."""
+    """Mutable placement wrapper with O(local) HPWL move evaluation.
+
+    ``x``/``y`` are the numpy positions.  A move trial reads only Python
+    lists kept in step with them: positions, each cell's sorted incident
+    nets, each net's pins, bounding-box height and weighted cost.  At
+    these sizes (a few nets of a few pins) list indexing and plain loops
+    are an order of magnitude faster than numpy calls.
+    """
 
     def __init__(self, netlist: Netlist, placement: Placement):
         self.netlist = netlist
         self.x = placement.x.copy()
         self.y = placement.y.copy()
-        self._net_of_pin = netlist.pin_net_ids()
-        start, order = netlist._build_cell_pins()
-        self._cell_pin_start = start
-        self._cell_pin_order = order
-        self._bbox = self._full_bboxes()
-        self._weights = netlist.net_weights
-        # Per-net pin data as plain Python lists: nets are tiny, and
-        # recomputing a bbox with builtin min/max over a short list is
-        # an order of magnitude faster than numpy reductions on 3-element
-        # arrays (this is the hot path of every move evaluation).
-        self._net_pins_py: list[tuple[list[int], list[float], list[float]]] = []
-        for e in range(netlist.num_nets):
-            span = netlist.net_pins(e)
-            self._net_pins_py.append((
-                [int(c) for c in netlist.pin_cell[span]],
-                [float(v) for v in netlist.pin_dx[span]],
-                [float(v) for v in netlist.pin_dy[span]],
-            ))
+        #: ``x``/``y`` as Python lists, kept in step by ``commit_move``
+        #: (read these in loops; change positions only through it).
+        self.xs: list[float] = self.x.tolist()
+        self.ys: list[float] = self.y.tolist()
+        self._w: list[float] = netlist.net_weights.tolist()
+        xspan, yspan = _net_spans(netlist, self.x, self.y)
+        self._yspan: list[float] = yspan.tolist()
+        self._cost: list[float] = (
+            (xspan + yspan) * netlist.net_weights).tolist()
 
-    def _full_bboxes(self) -> np.ndarray:
-        nl = self.netlist
-        px = self.x[nl.pin_cell] + nl.pin_dx
-        py = self.y[nl.pin_cell] + nl.pin_dy
-        starts = nl.net_start[:-1]
-        bbox = np.empty((nl.num_nets, 4))
-        bbox[:, 0] = np.minimum.reduceat(px, starts)
-        bbox[:, 1] = np.maximum.reduceat(px, starts)
-        bbox[:, 2] = np.minimum.reduceat(py, starts)
-        bbox[:, 3] = np.maximum.reduceat(py, starts)
-        return bbox
+        starts = netlist.net_start.tolist()
+        pins = list(zip(netlist.pin_cell.tolist(), netlist.pin_dx.tolist(),
+                        netlist.pin_dy.tolist()))
+        #: net -> its pins as (cell, x offset, y offset)
+        self._net_pins = [tuple(pins[a:b])
+                          for a, b in zip(starts, starts[1:])]
+        # cell -> its distinct nets in increasing order, from the sorted
+        # distinct (cell, net) pairs.
+        n_nets = max(netlist.num_nets, 1)
+        pairs = np.unique(netlist.pin_cell.astype(np.int64) * n_nets
+                          + netlist.pin_net_ids())
+        bounds = np.searchsorted(
+            pairs // n_nets, np.arange(netlist.num_cells + 1)).tolist()
+        nets = (pairs % n_nets).tolist()
+        self._cell_nets = [tuple(nets[a:b])
+                           for a, b in zip(bounds, bounds[1:])]
 
     def placement(self) -> Placement:
         return Placement(self.x.copy(), self.y.copy())
 
     def total_hpwl(self) -> float:
-        spans = (self._bbox[:, 1] - self._bbox[:, 0]) + (self._bbox[:, 3] - self._bbox[:, 2])
-        return float((spans * self._weights).sum())
+        return float(np.sum(self._cost))
+
+    def _nets(self, cells: list[int]) -> tuple[int, ...] | list[int]:
+        """Distinct nets incident to ``cells``, in increasing order."""
+        if len(cells) == 1:
+            return self._cell_nets[cells[0]]
+        cell_nets = self._cell_nets
+        return sorted({e for c in cells for e in cell_nets[c]})
 
     def nets_of_cells(self, cells: list[int]) -> np.ndarray:
         """Unique nets incident to the given cells."""
-        pins = np.concatenate([
-            self._cell_pin_order[
-                self._cell_pin_start[c]:self._cell_pin_start[c + 1]
-            ]
-            for c in cells
-        ]) if cells else np.zeros(0, dtype=np.int64)
-        return np.unique(self._net_of_pin[pins])
+        return np.array(self._nets(cells) if cells else (), dtype=np.int64)
 
-    def _net_bbox(self, net: int) -> tuple[float, float, float, float]:
-        cells, dxs, dys = self._net_pins_py[net]
-        x = self.x
-        y = self.y
-        px = [x[c] + d for c, d in zip(cells, dxs)]
-        py = [y[c] + d for c, d in zip(cells, dys)]
-        return min(px), max(px), min(py), max(py)
+    def _box(self, pins) -> tuple[float, float, float, float]:
+        """Bounding box (xlo, xhi, ylo, yhi) of ``pins`` at the list
+        positions.
 
-    def nets_cost(self, nets: np.ndarray) -> float:
-        """Current weighted HPWL of a set of nets."""
-        b = self._bbox[nets]
-        spans = (b[:, 1] - b[:, 0]) + (b[:, 3] - b[:, 2])
-        return float((spans * self._weights[nets]).sum())
+        Ties keep the first extreme value, as builtin min/max do; on
+        nets of a few pins this loop is several times faster.
+        """
+        xs = self.xs
+        ys = self.ys
+        c, dx, dy = pins[0]
+        xlo = xhi = xs[c] + dx
+        ylo = yhi = ys[c] + dy
+        for c, dx, dy in pins:
+            v = xs[c] + dx
+            if v < xlo:
+                xlo = v
+            elif v > xhi:
+                xhi = v
+            v = ys[c] + dy
+            if v < ylo:
+                ylo = v
+            elif v > yhi:
+                yhi = v
+        return xlo, xhi, ylo, yhi
 
     def move_cost_delta(
         self,
@@ -92,17 +168,47 @@ class HPWLDelta:
 
         Positive means the move makes things worse.  Does not mutate.
         """
-        nets = self.nets_of_cells(cells)
-        before = self.nets_cost(nets)
-        old = [(self.x[c], self.y[c]) for c in cells]
+        nets = self._nets(cells)
+        cost = self._cost
+        before = pairwise_sum([cost[e] for e in nets])
+        xs = self.xs
+        ys = self.ys
+        old_x = [xs[c] for c in cells]
+        same_rows = True
         for c, nx, ny in zip(cells, new_x, new_y):
-            self.x[c], self.y[c] = nx, ny
+            xs[c] = nx
+            if ny != ys[c]:
+                same_rows = False
+        w = self._w
         after = 0.0
-        for net in nets:
-            xlo, xhi, ylo, yhi = self._net_bbox(int(net))
-            after += self._weights[net] * ((xhi - xlo) + (yhi - ylo))
-        for c, (ox, oy) in zip(cells, old):
-            self.x[c], self.y[c] = ox, oy
+        if same_rows:
+            # No pin moves vertically, so every net keeps its height:
+            # only the x extent needs recomputing (min/max are exact).
+            net_pins = self._net_pins
+            yspan = self._yspan
+            for e in nets:
+                pins = net_pins[e]
+                c, dx, _ = pins[0]
+                lo = hi = xs[c] + dx
+                for c, dx, _ in pins:
+                    v = xs[c] + dx
+                    if v < lo:
+                        lo = v
+                    elif v > hi:
+                        hi = v
+                after += w[e] * ((hi - lo) + yspan[e])
+        else:
+            old_y = [ys[c] for c in cells]
+            for c, ny in zip(cells, new_y):
+                ys[c] = ny
+            net_pins = self._net_pins
+            for e in nets:
+                xlo, xhi, ylo, yhi = self._box(net_pins[e])
+                after += w[e] * ((xhi - xlo) + (yhi - ylo))
+            for c, oy in zip(cells, old_y):
+                ys[c] = oy
+        for c, ox in zip(cells, old_x):
+            xs[c] = ox
         return after - before
 
     def commit_move(
@@ -111,11 +217,15 @@ class HPWLDelta:
         new_x: list[float],
         new_y: list[float],
     ) -> None:
-        """Apply a move and refresh the affected net bounding boxes."""
+        """Apply a move and refresh the affected net costs."""
+        x, y, xs, ys = self.x, self.y, self.xs, self.ys
         for c, nx, ny in zip(cells, new_x, new_y):
-            self.x[c], self.y[c] = nx, ny
-        for net in self.nets_of_cells(cells):
-            self._bbox[net] = self._net_bbox(int(net))
+            x[c], y[c] = nx, ny
+            xs[c], ys[c] = float(x[c]), float(y[c])
+        for e in self._nets(cells):
+            xlo, xhi, ylo, yhi = self._box(self._net_pins[e])
+            self._yspan[e] = yhi - ylo
+            self._cost[e] = self._w[e] * ((xhi - xlo) + (yhi - ylo))
 
     def optimal_region(self, cell: int) -> tuple[float, float, float, float]:
         """The median ("optimal") region of a cell [FastPlace-DP].
@@ -124,21 +234,17 @@ class HPWLDelta:
         an interval; the optimal x (y) range is the median interval of
         the stacked interval endpoints.
         """
-        nets = self.nets_of_cells([cell])
         xs: list[float] = []
         ys: list[float] = []
-        x = self.x
-        y = self.y
-        for net in nets:
-            cells, dxs, dys = self._net_pins_py[int(net)]
-            px = [x[c] + d for c, d in zip(cells, dxs) if c != cell]
-            if not px:
-                continue
-            py = [y[c] + d for c, d in zip(cells, dys) if c != cell]
-            xs.extend((min(px), max(px)))
-            ys.extend((min(py), max(py)))
+        for net in self._cell_nets[cell]:
+            others = [p for p in self._net_pins[net] if p[0] != cell]
+            if others:
+                xlo, xhi, ylo, yhi = self._box(others)
+                xs += (xlo, xhi)
+                ys += (ylo, yhi)
         if not xs:
-            return (self.x[cell], self.x[cell], self.y[cell], self.y[cell])
+            x, y = self.xs[cell], self.ys[cell]
+            return (x, x, y, y)
         xs.sort()
         ys.sort()
         mid = len(xs) // 2

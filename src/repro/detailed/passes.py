@@ -12,10 +12,14 @@ ICCAD 2005] on our row structure:
   right-to-left sweep per pass).
 
 All passes preserve legality exactly: cells only ever occupy intervals
-their segment gaps allow.
+their segment gaps allow.  They read positions and widths from the
+evaluator's and row structure's Python lists, which hold the same values
+as the numpy arrays at a fraction of the indexing cost.
 """
 
 from __future__ import annotations
+
+from itertools import permutations
 
 import numpy as np
 
@@ -26,24 +30,23 @@ from .structure import RowStructure
 
 def row_shift_pass(nl: Netlist, state: HPWLDelta, rows: RowStructure) -> int:
     """Slide cells to their optimal in-gap position; returns #moves."""
+    x, y, widths = state.xs, state.ys, rows.widths
     moves = 0
     for _, segment, cells in rows.iter_segments():
         for sweep in (cells, list(reversed(cells))):
             for cell in sweep:
-                lo, hi = rows.gap_bounds(cell, state.x)
-                half = 0.5 * nl.widths[cell]
+                lo, hi = rows.gap_bounds(cell, x)
+                half = 0.5 * widths[cell]
                 lo, hi = lo + half, hi - half
                 if hi < lo:
                     continue
                 xlo, xhi, _, _ = state.optimal_region(cell)
                 target = min(max(0.5 * (xlo + xhi), lo), hi)
-                if abs(target - state.x[cell]) < 1e-9:
+                if abs(target - x[cell]) < 1e-9:
                     continue
-                delta = state.move_cost_delta(
-                    [cell], [target], [state.y[cell]]
-                )
+                delta = state.move_cost_delta([cell], [target], [y[cell]])
                 if delta < -1e-12:
-                    state.commit_move([cell], [target], [state.y[cell]])
+                    state.commit_move([cell], [target], [y[cell]])
                     moves += 1
     return moves
 
@@ -52,49 +55,50 @@ def local_reorder_pass(
     nl: Netlist, state: HPWLDelta, rows: RowStructure, window: int = 3
 ) -> int:
     """Try permutations of ``window`` consecutive cells; returns #moves."""
-    from itertools import permutations
-
+    x, y, width = state.xs, state.ys, rows.widths
+    identity = tuple(range(window))
     moves = 0
-    for _, segment, cells in rows.iter_segments():
+    for key, segment, cells in rows.iter_segments():
         for start in range(len(cells) - window + 1):
             group = cells[start:start + window]
-            widths = [nl.widths[c] for c in group]
+            widths = [width[c] for c in group]
             # The span available to the group.
             left = (
-                state.x[cells[start - 1]] + 0.5 * nl.widths[cells[start - 1]]
+                x[cells[start - 1]] + 0.5 * width[cells[start - 1]]
                 if start > 0 else segment.lo
             )
             right = (
-                state.x[cells[start + window]] - 0.5 * nl.widths[cells[start + window]]
+                x[cells[start + window]] - 0.5 * width[cells[start + window]]
                 if start + window < len(cells) else segment.hi
             )
-            if right - left < sum(widths) - 1e-9:
+            total = 0.0  # left to right: sum() compensates from Python 3.12
+            for w in widths:
+                total += w
+            if right - left < total - 1e-9:
                 continue
-            base_edges = [state.x[c] - 0.5 * nl.widths[c] for c in group]
+            base_edge = x[group[0]] - 0.5 * widths[0]
             best_perm = None
             best_delta = -1e-12
-            for perm in permutations(range(window)):
-                if perm == tuple(range(window)):
+            for perm in permutations(identity):
+                if perm == identity:
                     continue
                 # Pack the permuted cells from the leftmost original edge.
                 xs = []
-                cursor = base_edges[0]
+                cursor = base_edge
                 for j in perm:
                     xs.append(cursor + 0.5 * widths[j])
                     cursor += widths[j]
                 if cursor > right + 1e-9:
                     continue
                 moved = [group[j] for j in perm]
-                delta = state.move_cost_delta(
-                    moved, xs, [state.y[c] for c in moved]
-                )
+                delta = state.move_cost_delta(moved, xs, [y[c] for c in moved])
                 if delta < best_delta:
                     best_delta = delta
-                    best_perm = (perm, moved, xs)
+                    best_perm = (moved, xs)
             if best_perm is not None:
-                perm, moved, xs = best_perm
-                state.commit_move(moved, xs, [state.y[c] for c in moved])
-                cells[start:start + window] = moved
+                moved, xs = best_perm
+                state.commit_move(moved, xs, [y[c] for c in moved])
+                rows.reorder(key, start, moved)
                 moves += 1
     return moves
 
@@ -110,14 +114,14 @@ def global_swap_pass(
     (b) sliding into the free gap nearest the region, keeping whichever
     candidate improves HPWL most.
     """
+    x, y, widths = state.xs, state.ys, rows.widths
     moves = 0
-    std = [c for c in rows.position]
-    order = sorted(std, key=lambda c: -nl.widths[c])
+    order = sorted(rows.position, key=lambda c: -widths[c])
     for cell in order:
         xlo, xhi, ylo, yhi = state.optimal_region(cell)
-        ox = min(max(state.x[cell], xlo), xhi)
-        oy = min(max(state.y[cell], ylo), yhi)
-        if abs(ox - state.x[cell]) + abs(oy - state.y[cell]) < 1e-9:
+        ox = min(max(x[cell], xlo), xhi)
+        oy = min(max(y[cell], ylo), yhi)
+        if abs(ox - x[cell]) + abs(oy - y[cell]) < 1e-9:
             continue  # already inside its optimal region
         tx = 0.5 * (xlo + xhi)
         ty = 0.5 * (ylo + yhi)
@@ -126,28 +130,26 @@ def global_swap_pass(
         best = None  # (delta, kind, payload)
         # Candidate (a): swap with cells near the target in that row.
         for row in (target_row, rows.position[cell][0]):
-            for seg_idx, segment in enumerate(rows.rowmap.segments[row]):
-                key = (row, seg_idx)
-                others = rows.cells.get(key, [])
+            for seg_idx in range(len(rows.rowmap.segments[row])):
+                others = rows.cells.get((row, seg_idx))
                 if not others:
                     continue
-                xs = np.array([state.x[c] for c in others])
-                near = np.argsort(np.abs(xs - tx))[:max_candidates]
-                for j in near:
-                    other = others[int(j)]
+                # np.argsort's own order among equally near cells decides
+                # which of them is tried first.
+                near = np.argsort(np.abs(state.x[others] - tx))
+                for j in near[:max_candidates].tolist():
+                    other = others[j]
                     if other == cell:
                         continue
                     delta = _try_swap(nl, state, rows, cell, other)
                     if delta is not None and (best is None or delta < best[0]):
                         best = (delta, "swap", other)
         # Candidate (b): slide within the current gap toward the target.
-        lo, hi = rows.gap_bounds(cell, state.x)
-        half = 0.5 * nl.widths[cell]
-        if hi - lo >= nl.widths[cell] - 1e-9:
+        lo, hi = rows.gap_bounds(cell, x)
+        half = 0.5 * widths[cell]
+        if hi - lo >= widths[cell] - 1e-9:
             slide_x = min(max(tx, lo + half), hi - half)
-            delta = state.move_cost_delta(
-                [cell], [slide_x], [state.y[cell]]
-            )
+            delta = state.move_cost_delta([cell], [slide_x], [y[cell]])
             if best is None or delta < best[0]:
                 best = (delta, "slide", slide_x)
 
@@ -155,7 +157,7 @@ def global_swap_pass(
             continue
         delta, kind, payload = best
         if kind == "slide":
-            state.commit_move([cell], [payload], [state.y[cell]])
+            state.commit_move([cell], [payload], [y[cell]])
         else:
             _commit_swap(nl, state, rows, cell, payload)
         moves += 1
@@ -166,15 +168,16 @@ def _swap_positions(
     nl: Netlist, state: HPWLDelta, rows: RowStructure, a: int, b: int
 ) -> tuple[list[float], list[float]] | None:
     """Positions after swapping a and b, or None when either misfits."""
-    lo_a, hi_a = rows.gap_bounds(a, state.x)
-    lo_b, hi_b = rows.gap_bounds(b, state.x)
-    wa, wb = nl.widths[a], nl.widths[b]
+    x = state.xs
+    lo_a, hi_a = rows.gap_bounds(a, x)
+    lo_b, hi_b = rows.gap_bounds(b, x)
+    wa, wb = rows.widths[a], rows.widths[b]
     # b goes into a's slot and vice versa; each clamped into the gap the
     # *other* cell leaves behind (gap bounds exclude the moving pair).
     if hi_a - lo_a < wb - 1e-9 or hi_b - lo_b < wa - 1e-9:
         return None
-    xb = min(max(state.x[a], lo_a + 0.5 * wb), hi_a - 0.5 * wb)
-    xa = min(max(state.x[b], lo_b + 0.5 * wa), hi_b - 0.5 * wa)
+    xb = min(max(x[a], lo_a + 0.5 * wb), hi_a - 0.5 * wb)
+    xa = min(max(x[b], lo_b + 0.5 * wa), hi_b - 0.5 * wa)
     ya, yb = rows.row_y(b), rows.row_y(a)
     return [xa, xb], [ya, yb]
 

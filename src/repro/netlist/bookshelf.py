@@ -413,6 +413,15 @@ def write_aux(netlist: Netlist, placement: Placement, directory: str,
     return aux_path
 
 
+def _exact(value: float) -> str:
+    """Shortest text that reads back as exactly ``value``.
+
+    ``float()`` first: under numpy 2 ``repr`` of a numpy scalar prints
+    ``np.float64(...)``.
+    """
+    return repr(float(value))
+
+
 def _write_nodes(netlist: Netlist, path: str) -> None:
     terminals = int(netlist.is_terminal.sum())
     with open(path, "w") as handle:
@@ -422,7 +431,8 @@ def _write_nodes(netlist: Netlist, path: str) -> None:
         for i, name in enumerate(netlist.cell_names):
             tag = " terminal" if netlist.kinds[i] == CellKind.TERMINAL else ""
             handle.write(
-                f"{name} {netlist.widths[i]:g} {netlist.heights[i]:g}{tag}\n"
+                f"{name} {_exact(netlist.widths[i])} "
+                f"{_exact(netlist.heights[i])}{tag}\n"
             )
 
 
@@ -439,7 +449,7 @@ def _write_nets(netlist: Netlist, path: str) -> None:
                 direction = "O" if netlist.pin_is_driver[p] else "I"
                 handle.write(
                     f"  {netlist.cell_names[netlist.pin_cell[p]]} {direction} : "
-                    f"{netlist.pin_dx[p]:g} {netlist.pin_dy[p]:g}\n"
+                    f"{_exact(netlist.pin_dx[p])} {_exact(netlist.pin_dy[p])}\n"
                 )
 
 
@@ -447,7 +457,7 @@ def _write_wts(netlist: Netlist, path: str) -> None:
     with open(path, "w") as handle:
         handle.write("UCLA wts 1.0\n")
         for name, weight in zip(netlist.net_names, netlist.net_weights):
-            handle.write(f"{name} {weight:g}\n")
+            handle.write(f"{name} {_exact(weight)}\n")
 
 
 def _write_pl(netlist: Netlist, placement: Placement, path: str) -> None:
@@ -468,13 +478,14 @@ def _write_scl(netlist: Netlist, path: str) -> None:
         handle.write(f"NumRows : {len(rows)}\n")
         for row in rows:
             handle.write("CoreRow Horizontal\n")
-            handle.write(f"  Coordinate : {row.y:g}\n")
-            handle.write(f"  Height : {row.height:g}\n")
-            handle.write(f"  Sitewidth : {row.site_width:g}\n")
-            handle.write(f"  Sitespacing : {row.site_width:g}\n")
+            handle.write(f"  Coordinate : {_exact(row.y)}\n")
+            handle.write(f"  Height : {_exact(row.height)}\n")
+            handle.write(f"  Sitewidth : {_exact(row.site_width)}\n")
+            handle.write(f"  Sitespacing : {_exact(row.site_width)}\n")
             handle.write("  Siteorient : 1\n")
             handle.write("  Sitesymmetry : 1\n")
             handle.write(
-                f"  SubrowOrigin : {row.x:g} NumSites : {row.num_sites}\n"
+                f"  SubrowOrigin : {_exact(row.x)} "
+                f"NumSites : {row.num_sites}\n"
             )
             handle.write("End\n")

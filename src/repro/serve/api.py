@@ -269,6 +269,9 @@ class _Handler(BaseHTTPRequestHandler):
         idle_polls = 0
         try:
             while True:
+                # ``done`` before the drain: a terminal job already holds
+                # its last event, so ``done`` never overtakes an event.
+                done = record.done
                 events, next_since, dropped = record.events_since(cursor)
                 if dropped > cursor:
                     self._sse(dropped, "gap",
@@ -281,7 +284,7 @@ class _Handler(BaseHTTPRequestHandler):
                 if events:
                     idle_polls = 0
                     self.wfile.flush()
-                if record.done:
+                if done:
                     self._sse(cursor, "done",
                               {"state": record.snapshot()["state"]})
                     self.wfile.flush()

@@ -210,6 +210,16 @@ class JobSpec:
         )
 
 
+def _append_bounded(events: list[dict[str, Any]], event: dict[str, Any],
+                    keep: int) -> int:
+    """Append ``event``, dropping the oldest beyond ``keep``; returns how
+    many were dropped.  The caller holds the record's lock."""
+    events.append(event)
+    drop = max(len(events) - keep, 0)
+    del events[:drop]
+    return drop
+
+
 @dataclass
 class JobRecord:
     """The service-side mutable state of one job (lock-guarded)."""
@@ -242,11 +252,8 @@ class JobRecord:
     def add_event(self, event: dict[str, Any]) -> None:
         """Append one progress event (bounded; oldest dropped first)."""
         with self._lock:
-            self._events.append(event)
-            if len(self._events) > self.keep_events:
-                drop = len(self._events) - self.keep_events
-                del self._events[:drop]
-                self._events_dropped += drop
+            self._events_dropped += _append_bounded(
+                self._events, event, self.keep_events)
 
     def record_recovery(self, entry: dict[str, Any]) -> None:
         """Append one service-level recovery action (attempt crash/retry)."""
@@ -254,8 +261,14 @@ class JobRecord:
             self.recovery.append(entry)
 
     def transition(self, state: str, *, error: str | None = None,
-                   now: float | None = None) -> None:
+                   now: float | None = None,
+                   event: dict[str, Any] | None = None) -> None:
+        """Change state; ``event`` is appended in the same locked step,
+        so a reader that sees a terminal state also sees its event."""
         with self._lock:
+            if event is not None:
+                self._events_dropped += _append_bounded(
+                    self._events, event, self.keep_events)
             self.state = state
             if error is not None:
                 self.error = error
@@ -275,17 +288,21 @@ class JobRecord:
             return self.attempts
 
     def complete(self, result: dict[str, Any], report_html: str | None,
-                 metrics: dict[str, Any] | None, now: float) -> None:
+                 metrics: dict[str, Any] | None, now: float,
+                 run_dir: str | None = None,
+                 event: dict[str, Any] | None = None) -> None:
+        """Succeed with the archived ``run_dir`` and the terminal
+        ``event`` in one locked step."""
         with self._lock:
+            if event is not None:
+                self._events_dropped += _append_bounded(
+                    self._events, event, self.keep_events)
             self.result = result
             self.report_html = report_html
             self.metrics = metrics
+            self.run_dir = run_dir
             self.state = JobState.SUCCEEDED
             self.finished_at = now
-
-    def set_run_dir(self, run_dir: str) -> None:
-        with self._lock:
-            self.run_dir = run_dir
 
     def set_trace(self, doc: dict[str, Any]) -> None:
         """Attach the merged Chrome-trace document (tracing runs only)."""

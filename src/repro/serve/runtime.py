@@ -268,8 +268,8 @@ class JobRuntime:
             return False
         record.request_cancel()
         if self.queue.remove(job_id):
-            record.transition(JobState.CANCELLED, now=time.monotonic())
-            record.add_event({"stage": "cancelled", "where": "queue"})
+            record.transition(JobState.CANCELLED, now=time.monotonic(),
+                              event={"stage": "cancelled", "where": "queue"})
             self.stats.inc("cancelled")
             logger.info("cancelled %s while queued", job_id)
         # A running job's monitor notices the flag within its poll
@@ -304,8 +304,8 @@ class JobRuntime:
                 time.sleep(0.05)
         # Cancel whatever is left (no-op after a clean drain).
         for item in self.queue.drain():
-            item.transition(JobState.CANCELLED, now=time.monotonic())
-            item.add_event({"stage": "cancelled", "where": "shutdown"})
+            item.transition(JobState.CANCELLED, now=time.monotonic(),
+                            event={"stage": "cancelled", "where": "shutdown"})
             self.stats.inc("cancelled")
         for record in self.jobs():
             if not record.done:
@@ -346,8 +346,9 @@ class JobRuntime:
                 self._slots.release()
                 continue
             if record.cancel_requested:
-                record.transition(JobState.CANCELLED, now=time.monotonic())
-                record.add_event({"stage": "cancelled", "where": "dispatch"})
+                record.transition(JobState.CANCELLED, now=time.monotonic(),
+                                  event={"stage": "cancelled",
+                                         "where": "dispatch"})
                 self.stats.inc("cancelled")
                 self._slots.release()
                 continue
@@ -416,9 +417,9 @@ class JobRuntime:
                         spec.job_id, attempt, backoff)
                     if record.wait_cancel(backoff):
                         record.transition(JobState.CANCELLED,
-                                          now=time.monotonic())
-                        record.add_event({"stage": "cancelled",
-                                          "where": "backoff"})
+                                          now=time.monotonic(),
+                                          event={"stage": "cancelled",
+                                                 "where": "backoff"})
                         self.stats.inc("cancelled")
                         outcome = "cancelled"
                         break
@@ -426,9 +427,9 @@ class JobRuntime:
                 record.transition(
                     JobState.FAILED, now=time.monotonic(),
                     error=f"worker crashed on all "
-                          f"{retries + 1} attempt(s)")
-                record.add_event({"stage": "failed",
-                                  "reason": "retry_budget_exhausted"})
+                          f"{retries + 1} attempt(s)",
+                    event={"stage": "failed",
+                           "reason": "retry_budget_exhausted"})
                 self.stats.inc("failed")
                 logger.error("%s failed: retry budget exhausted",
                              spec.job_id)
@@ -520,10 +521,10 @@ class JobRuntime:
                 if record.cancel_requested:
                     self._reap(process, kill=False)
                     record.transition(JobState.CANCELLED,
-                                      now=time.monotonic())
-                    record.add_event({"stage": "cancelled",
-                                      "where": "running",
-                                      "attempt": attempt})
+                                      now=time.monotonic(),
+                                      event={"stage": "cancelled",
+                                             "where": "running",
+                                             "attempt": attempt})
                     self.stats.inc("cancelled")
                     logger.info("%s cancelled while running", spec.job_id)
                     self._trace_attempt(merger, attempt, tier,
@@ -598,9 +599,9 @@ class JobRuntime:
             record.transition(
                 JobState.FAILED, now=time.monotonic(),
                 error=f"{error.get('type', 'Error')}: "
-                      f"{error.get('message', '')}")
-            record.add_event({"stage": "failed", "attempt": attempt,
-                              "reason": error.get("type")})
+                      f"{error.get('message', '')}",
+                event={"stage": "failed", "attempt": attempt,
+                       "reason": error.get("type")})
             self.stats.inc("failed")
             logger.warning("%s failed deterministically: %s",
                            spec.job_id, record.error)
@@ -635,12 +636,13 @@ class JobRuntime:
                         merger: TraceMerger | None = None) -> None:
         metrics = body.pop("metrics", None)
         report_html = body.pop("report_html", None)
-        record.complete(body, report_html, metrics, time.monotonic())
-        self.stats.inc("completed")
         trace_doc = None
         if merger is not None:
             trace_doc = merger.chrome_trace()
             record.set_trace(trace_doc)
+        # Archive before the job turns terminal: a client that sees
+        # ``succeeded`` must also see its run_dir and its last event.
+        run_dir = None
         try:
             run_dir = self.registry_for(record.spec.tenant).capture(
                 metrics or {}, name=record.spec.name,
@@ -653,12 +655,14 @@ class JobRuntime:
                     "tier": record.tier,
                 },
             )
-            record.set_run_dir(run_dir)
         except OSError:
             logger.exception("failed to archive %s into the run registry",
                              record.spec.job_id)
-        record.add_event({"stage": "succeeded",
-                          "hpwl_legal": body.get("hpwl_legal")})
+        record.complete(body, report_html, metrics, time.monotonic(),
+                        run_dir=run_dir,
+                        event={"stage": "succeeded",
+                               "hpwl_legal": body.get("hpwl_legal")})
+        self.stats.inc("completed")
         logger.info("%s succeeded: HPWL %.1f in %s iterations",
                     record.spec.job_id, body.get("hpwl_legal", -1.0),
                     body.get("iterations"))

@@ -14,7 +14,7 @@ from repro.netlist.bookshelf import (
     read_aux,
     write_aux,
 )
-from repro.workloads import SyntheticSpec, generate
+from repro.workloads import SyntheticSpec, generate, load_suite
 
 
 @pytest.fixture(scope="module")
@@ -48,20 +48,20 @@ class TestRoundTrip:
 
     def test_geometry_preserved(self, roundtrip):
         nl, _, reread, _ = roundtrip
-        assert np.allclose(reread.widths, nl.widths)
-        assert np.allclose(reread.heights, nl.heights)
+        assert np.array_equal(reread.widths, nl.widths)
+        assert np.array_equal(reread.heights, nl.heights)
         assert np.array_equal(reread.kinds, nl.kinds)
         assert np.array_equal(reread.movable, nl.movable)
 
     def test_pins_preserved(self, roundtrip):
         nl, _, reread, _ = roundtrip
         assert np.array_equal(reread.pin_cell, nl.pin_cell)
-        assert np.allclose(reread.pin_dx, nl.pin_dx)
-        assert np.allclose(reread.pin_dy, nl.pin_dy)
+        assert np.array_equal(reread.pin_dx, nl.pin_dx)
+        assert np.array_equal(reread.pin_dy, nl.pin_dy)
 
     def test_weights_preserved(self, roundtrip):
         nl, _, reread, _ = roundtrip
-        assert np.allclose(reread.net_weights, nl.net_weights)
+        assert np.array_equal(reread.net_weights, nl.net_weights)
 
     def test_placement_preserved(self, roundtrip):
         nl, placement, reread, reread_placement = roundtrip
@@ -84,6 +84,35 @@ class TestRoundTrip:
         for ext in (".aux", ".nodes", ".nets", ".wts", ".pl", ".scl"):
             assert f"custom{ext}" in files
         assert aux.endswith("custom.aux")
+
+
+class TestExactRoundTrip:
+    """A design written and read back is the same design, bit for bit.
+
+    Six significant digits used to turn 6,060 of this design's 6,119 pin
+    offsets into different numbers while ``np.allclose`` still passed.
+    """
+
+    @pytest.fixture(scope="class")
+    def newblue(self, tmp_path_factory):
+        nl = load_suite("newblue1_s", scale=0.5).netlist
+        aux = write_aux(nl, nl.initial_placement(),
+                        str(tmp_path_factory.mktemp("newblue")))
+        return nl, read_aux(aux)[0]
+
+    @pytest.mark.parametrize("field", [
+        "widths", "heights", "pin_dx", "pin_dy", "net_weights",
+    ])
+    def test_arrays_identical(self, newblue, field):
+        nl, reread = newblue
+        assert np.array_equal(getattr(reread, field), getattr(nl, field))
+
+    def test_rows_identical(self, newblue):
+        nl, reread = newblue
+        geometry = [(r.x, r.y, r.height, r.site_width, r.num_sites)
+                    for r in nl.core.rows]
+        assert [(r.x, r.y, r.height, r.site_width, r.num_sites)
+                for r in reread.core.rows] == geometry
 
 
 class TestParsing:

@@ -166,3 +166,49 @@ class TestDriver:
         dp = DetailedPlacer(nl)
         out = dp.place(placed_mixed.upper)
         assert check_legal(nl, out).legal
+
+
+class TestOffGridMacro:
+    """A movable macro whose edge is off the site grid.
+
+    Row 0's free segment left of the macro is 10.5 wide but holds only
+    10 whole sites, and five 2-wide cells fill those.  The 2.5-wide cell
+    X in row 4 is pulled to row 0's right end; swapping it with that
+    row's last cell fits only if the half-site sliver beside the macro
+    counts, and then the site snap cannot fit row 0 any more.
+    """
+
+    @pytest.fixture
+    def design(self):
+        from repro import NetlistBuilder, Rect
+        from repro.netlist import CellKind, CoreArea, Placement
+        core = CoreArea.uniform(Rect(0, 0, 20, 6), row_height=1.0)
+        b = NetlistBuilder("offgrid", core=core)
+        b.add_cell("m", 4.5, 2.0, kind=CellKind.MACRO)
+        for i in range(5):
+            b.add_cell(f"a{i}", 2.0, 1.0)
+        b.add_cell("x", 2.5, 1.0)
+        b.add_cell("p1", 0.0, 0.0, kind=CellKind.TERMINAL,
+                   fixed_at=(10.0, 0.5))
+        b.add_cell("p2", 0.0, 0.0, kind=CellKind.TERMINAL,
+                   fixed_at=(0.0, 4.5))
+        b.add_net("nx", [("x", 0, 0), ("p1", 0, 0)])
+        b.add_net("na", [("a4", 0, 0), ("p2", 0, 0)])
+        nl = b.build()
+        x = np.array([12.75, 1, 3, 5, 7, 9, 1.25, 10.0, 0.0])
+        y = np.array([1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 4.5, 0.5, 4.5])
+        placement = Placement(x, y)
+        assert check_legal(nl, placement).legal
+        return nl, placement
+
+    def test_output_legal_on_sites(self, design):
+        nl, placement = design
+        out = DetailedPlacer(nl).place(placement)
+        report = check_legal(nl, out, check_sites=True)
+        assert report.legal, report.summary()
+
+    def test_segments_end_on_sites(self, design):
+        nl, placement = design
+        rows = RowStructure(nl, placement)
+        assert [(s.lo, s.hi) for s in rows.rowmap.segments[0]] == [
+            (0.0, 10.0), (15.0, 20.0)]

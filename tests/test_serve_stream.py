@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -19,6 +20,7 @@ import pytest
 
 from repro.race.portfolio import build_portfolio
 from repro.race.worker import clear_shared, run_variant
+from repro.runs import RunRegistry
 from repro.serve import PlacementService, ServeConfig
 from repro.serve.jobs import JobSpec
 from repro.serve.worker import run_job
@@ -199,6 +201,79 @@ class TestEventStream:
         status, _, _ = request(
             "GET", f"{base}/v1/jobs/j-424242/events?stream=1")
         assert status == 404
+
+
+@pytest.fixture
+def gated_capture(monkeypatch):
+    """Hold every run-registry capture until ``release`` is set;
+    ``entered`` is set when one starts."""
+    entered, release = threading.Event(), threading.Event()
+    original = RunRegistry.capture
+
+    def capture(self, *args, **kwargs):
+        entered.set()
+        assert release.wait(90.0), "capture never released"
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(RunRegistry, "capture", capture)
+    yield entered, release
+    release.set()
+
+
+class TestFinishOrder:
+    """A job turns terminal only once archived and holding its last
+    event, so no client sees ``succeeded`` without ``run_dir`` and no
+    stream sends ``done`` ahead of an event.  The slow archive is made
+    deterministic by holding ``RunRegistry.capture``."""
+
+    def test_terminal_only_after_archiving(self, base, gated_capture):
+        entered, release = gated_capture
+        status, _, body = request("POST", f"{base}/v1/jobs", payload())
+        assert status == 202
+        job_id = body["job_id"]
+        assert entered.wait(90.0), "the job never reached its archive"
+        _, _, during = request("GET", f"{base}/v1/jobs/{job_id}")
+        assert during["state"] == "running"
+        assert "run_dir" not in during
+        release.set()
+        _, events = stream_sse(f"{base}/v1/jobs/{job_id}/events?stream=1")
+        assert events[-1][2]["state"] == "succeeded"
+        _, _, final = request("GET", f"{base}/v1/jobs/{job_id}")
+        assert final["state"] == "succeeded"
+        assert final["run_dir"]
+
+    def test_done_never_overtakes_the_last_event(self, base, service,
+                                                 gated_capture):
+        """The job finishes between a stream's drain and its ``done``
+        check: the stream must still send ``succeeded`` first."""
+        entered, release = gated_capture
+        status, _, body = request("POST", f"{base}/v1/jobs", payload())
+        assert status == 202
+        job_id = body["job_id"]
+        record = service.runtime.job(job_id)
+        finished = threading.Event()
+        complete, events_since = record.complete, record.events_since
+
+        def complete_then_signal(*args, **kwargs):
+            complete(*args, **kwargs)
+            finished.set()
+
+        def drain_then_finish(since):
+            drained = events_since(since)
+            if entered.is_set() and not release.is_set():
+                release.set()
+                assert finished.wait(90.0), "the job never finished"
+            return drained
+
+        record.complete = complete_then_signal
+        record.events_since = drain_then_finish
+        _, events = stream_sse(f"{base}/v1/jobs/{job_id}/events?stream=1")
+        assert finished.is_set()
+        types = [t for _, t, _ in events]
+        assert types[-1] == "done"
+        assert events[-1][2]["state"] == "succeeded"
+        assert events[-2][1] == "progress"
+        assert events[-2][2]["stage"] == "succeeded"
 
 
 class TestEventGap:
