@@ -119,8 +119,12 @@ def find_overlaps(
 ) -> list[tuple[int, int]]:
     """All pairs of movable cells whose rectangles overlap by more than tol.
 
-    Uses an interval sweep along x with candidates bucketed by row band, so
-    the cost is ``O(n log n + k)`` for k overlaps on realistic placements.
+    Sweeps along x: cells are taken in order of their left edge, and each
+    is compared, in a Python loop, with every cell still active (right
+    edge past its left edge), whatever its row.  The cost is
+    ``O(n log n + n * a)`` for an active set of ``a`` cells; on a legal
+    placement ``a`` is about the number of rows a vertical line crosses,
+    so about ``O(n ** 1.5)`` on a square core.
     """
     movable = np.flatnonzero(netlist.movable & (netlist.areas > 0))
     if movable.size == 0:

@@ -12,12 +12,7 @@ from .shredding import (
     shred_coherence,
     shred_counts,
 )
-from .spreading import (
-    even_spread,
-    linear_scale,
-    split_by_capacity,
-    spread_with_spacing,
-)
+from .spreading import spread_with_spacing
 
 __all__ = [
     "BinRegion",
@@ -28,15 +23,12 @@ __all__ = [
     "ShreddedView",
     "build_shredded_view",
     "default_grid_shape",
-    "even_spread",
     "find_expansion_regions",
     "interpolate_macro_positions",
-    "linear_scale",
     "project_rectangles",
     "region_violation_distance",
     "shred_coherence",
     "shred_counts",
     "snap_to_regions",
-    "split_by_capacity",
     "spread_with_spacing",
 ]

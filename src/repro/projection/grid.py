@@ -61,6 +61,9 @@ class DensityGrid:
     objects; usage is recomputed per placement.
     """
 
+    #: Bound on the memo of :meth:`capacity_sums`, in regions per bin.
+    MEMO_PER_BIN = 8
+
     def __init__(self, netlist: Netlist, nx: int, ny: int) -> None:
         if nx < 1 or ny < 1:
             raise ValueError("grid must have at least one bin per axis")
@@ -71,6 +74,9 @@ class DensityGrid:
         self.bin_w = self.bounds.width / self.nx
         self.bin_h = self.bounds.height / self.ny
         self.capacity = self._compute_capacity()
+        # Memo of capacity_sums: sorted region keys and their sums.
+        self._sum_keys = np.zeros(0, dtype=np.int64)
+        self._sums = np.zeros(0, dtype=np.float64)
 
     # ------------------------------------------------------------------
     # geometry helpers
@@ -87,6 +93,44 @@ class DensityGrid:
             self.bounds.xlo + region.ix1 * self.bin_w,
             self.bounds.ylo + region.iy1 * self.bin_h,
         )
+
+    def capacity_sums(self, regions: np.ndarray) -> np.ndarray:
+        """``capacity[ix0:ix1, iy0:iy1].sum()`` per ``(ix0, iy0, ix1, iy1)`` row.
+
+        The sums depend on the grid alone, so each region's is taken once,
+        by numpy itself, and memoized; the memo keeps at most
+        ``MEMO_PER_BIN`` regions per bin and starts over when it would
+        hold more.
+        """
+        span_x, span_y = self.nx + 1, self.ny + 1
+        key = (((regions[:, 0] * span_y + regions[:, 1]) * span_x
+                + regions[:, 2]) * span_y + regions[:, 3])
+        at = np.searchsorted(self._sum_keys, key)
+        found = at < self._sum_keys.shape[0]
+        found[found] = self._sum_keys[at[found]] == key[found]
+        out = np.empty(key.shape[0], dtype=np.float64)
+        out[found] = self._sums[at[found]]
+        if found.all():
+            return out
+        miss = ~found
+        new_keys, first, inverse = np.unique(
+            key[miss], return_index=True, return_inverse=True)
+        new_sums = np.array(
+            [self.capacity[ix0:ix1, iy0:iy1].sum()
+             for ix0, iy0, ix1, iy1 in regions[miss][first].tolist()],
+            dtype=np.float64)
+        out[miss] = new_sums[inverse]
+        limit = self.MEMO_PER_BIN * self.nx * self.ny
+        if new_keys.shape[0] > limit:
+            pass  # more new regions than the memo holds: keep it as is
+        elif self._sum_keys.shape[0] + new_keys.shape[0] > limit:
+            self._sum_keys, self._sums = new_keys, new_sums
+        else:
+            keys = np.concatenate((self._sum_keys, new_keys))
+            order = np.argsort(keys)
+            self._sum_keys = keys[order]
+            self._sums = np.concatenate((self._sums, new_sums))[order]
+        return out
 
     def bin_of(self, x: float, y: float) -> tuple[int, int]:
         ix = int((x - self.bounds.xlo) / self.bin_w)
@@ -107,9 +151,8 @@ class DensityGrid:
         h: np.ndarray,
     ) -> np.ndarray:
         """Exact area overlap of rectangles (centers x,y) with each bin."""
-        grid = np.zeros((self.nx, self.ny), dtype=np.float64)
         if x.shape[0] == 0:
-            return grid
+            return np.zeros((self.nx, self.ny), dtype=np.float64)
         xlo = np.clip(x - 0.5 * w, self.bounds.xlo, self.bounds.xhi)
         xhi = np.clip(x + 0.5 * w, self.bounds.xlo, self.bounds.xhi)
         ylo = np.clip(y - 0.5 * h, self.bounds.ylo, self.bounds.yhi)
@@ -123,15 +166,14 @@ class DensityGrid:
         spans_y = iy1 - iy0
         small = (spans_x <= 1) & (spans_y <= 1)
 
-        # Fast path: cells covering at most a 2x2 bin window, fully
-        # vectorized over the four candidate bins.  The four window
-        # passes scatter through one concatenated bincount, which
-        # accumulates in the same pass-then-element order as the four
-        # sequential np.add.at calls it replaces (bit-identical grid).
+        # Cells covering at most a 2x2 bin window, fully vectorized over
+        # the four candidate bins.  Every overlap goes through one
+        # concatenated bincount, which adds into each bin in element
+        # order: the four window passes, then the big rectangles.
+        flat_bins: list[np.ndarray] = []
+        flat_area: list[np.ndarray] = []
         if small.any():
             s = np.flatnonzero(small)
-            flat_bins: list[np.ndarray] = []
-            flat_area: list[np.ndarray] = []
             for dx in (0, 1):
                 for dy in (0, 1):
                     bx = np.minimum(ix0[s] + dx, self.nx - 1)
@@ -148,22 +190,31 @@ class DensityGrid:
                         area = np.where(iy1[s] > iy0[s], area, 0.0)
                     flat_bins.append(bx * self.ny + by)
                     flat_area.append(area)
-            grid = np.bincount(
-                np.concatenate(flat_bins),
-                weights=np.concatenate(flat_area),
-                minlength=self.nx * self.ny,
-            ).reshape(self.nx, self.ny)
 
-        # Slow path: big rectangles (macros); few in number.
-        for i in np.flatnonzero(~small):  # statcheck: ignore[R2,R9] rare macros
-            gx = np.arange(ix0[i], ix1[i] + 1, dtype=np.int64)
-            gy = np.arange(iy0[i], iy1[i] + 1, dtype=np.int64)
+        # Rectangles over more than a 2x2 window (macros): every bin of
+        # each one's window, cell-major, so a bin shared by several
+        # receives their overlaps in cell order.
+        if not small.all():
+            big = np.flatnonzero(~small)
+            cols = spans_y[big] + 1
+            count = (spans_x[big] + 1) * cols
+            owner = np.repeat(big, count)
+            t = (np.arange(int(count.sum()), dtype=np.int64)
+                 - np.repeat(np.cumsum(count) - count, count))
+            per = np.repeat(cols, count)
+            gx = ix0[owner] + t // per
+            gy = iy0[owner] + t % per
             bx0 = self.bounds.xlo + gx * self.bin_w
             by0 = self.bounds.ylo + gy * self.bin_h
-            ox = np.minimum(xhi[i], bx0 + self.bin_w) - np.maximum(xlo[i], bx0)
-            oy = np.minimum(yhi[i], by0 + self.bin_h) - np.maximum(ylo[i], by0)
-            grid[np.ix_(gx, gy)] += np.outer(np.clip(ox, 0, None), np.clip(oy, 0, None))
-        return grid
+            ox = np.minimum(xhi[owner], bx0 + self.bin_w) - np.maximum(xlo[owner], bx0)
+            oy = np.minimum(yhi[owner], by0 + self.bin_h) - np.maximum(ylo[owner], by0)
+            flat_bins.append(gx * self.ny + gy)
+            flat_area.append(np.clip(ox, 0, None) * np.clip(oy, 0, None))
+        return np.bincount(
+            np.concatenate(flat_bins),
+            weights=np.concatenate(flat_area),
+            minlength=self.nx * self.ny,
+        ).reshape(self.nx, self.ny)
 
     def _compute_capacity(self) -> np.ndarray:
         nl = self.netlist

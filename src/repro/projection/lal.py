@@ -10,11 +10,18 @@ This is the SimPL-style ``P_C`` the paper builds on (Sections 3-5):
 3. inside each such region, run top-down geometric partitioning: pick a
    bin-aligned cut, split the (coordinate-sorted) cells so their area
    matches the two sides' capacities, linearly rescale each side into its
-   sub-region, and recurse to single-bin granularity.
+   sub-region, and continue to single-bin granularity.
 
 The construction preserves the relative order of cells in each direction
 and approximately minimizes L1 displacement — the properties Section S2
 uses to argue convexity and self-consistency of the projection.
+
+The partitioning runs one tree level at a time: every node of a depth is
+sorted, split and rescaled in the same array operations, and all leaves
+are spread in one pass at the end.  It returns exactly the bytes of the
+node-at-a-time recursion it replaced (kept as the test oracle), which
+takes care to sum areas and capacities in numpy's own order
+(:mod:`repro.projection.summation`).
 
 Everything here operates on plain rectangle arrays so macro shredding can
 feed shreds through the same code path.
@@ -29,7 +36,7 @@ from scipy import ndimage
 
 from .. import telemetry
 from .grid import BinRegion, DensityGrid
-from .spreading import even_spread, linear_scale, split_by_capacity
+from .summation import row_sums
 
 
 @dataclass
@@ -156,130 +163,257 @@ def project_rectangles(
             stats.num_regions = len(regions)
         sp.annotate("regions", len(regions))
 
-        for region in regions:
-            rect = grid.region_rect(region)
-            inside = (
-                (new_x >= rect.xlo) & (new_x <= rect.xhi)
-                & (new_y >= rect.ylo) & (new_y <= rect.yhi)
-            )
-            items = np.flatnonzero(inside)
-            if items.size == 0:
-                continue
-            _bisect(grid, region, items, new_x, new_y, areas, gamma,
-                    leaf_size, depth=0, stats=stats)
+        for batch in _independent_batches(regions):
+            _partition(grid, batch, new_x, new_y, areas, gamma, leaf_size,
+                       stats)
     return new_x, new_y
 
 
-def _region_capacity(grid: DensityGrid, gamma: float, r: BinRegion) -> float:
-    return float(gamma * grid.capacity[r.ix0:r.ix1, r.iy0:r.iy1].sum())
+def _touches(a: BinRegion, b: BinRegion) -> bool:
+    """The closed rectangles of two bin regions share at least a point."""
+    return (a.ix0 <= b.ix1 and b.ix0 <= a.ix1
+            and a.iy0 <= b.iy1 and b.iy0 <= a.iy1)
 
 
-def _bisect(
+def _independent_batches(regions: list[BinRegion]) -> list[list[BinRegion]]:
+    """Split the region list into runs that can be partitioned together.
+
+    Regions are partitioned in list order, and each takes the items whose
+    centers lie in its closed rectangle once the regions before it have
+    moved theirs.  Partitioning keeps every item inside its region's
+    rectangle (to within rounding), so an item can only change regions
+    across a shared edge or corner.  A region touching an earlier one of
+    the current run therefore starts a new run; within a run every item
+    set is the one the sequential order would have seen.
+    """
+    batches: list[list[BinRegion]] = []
+    for region in regions:
+        if batches and not any(_touches(region, r) for r in batches[-1]):
+            batches[-1].append(region)
+        else:
+            batches.append([region])
+    return batches
+
+
+def _partition(
     grid: DensityGrid,
-    region: BinRegion,
-    items: np.ndarray,
+    regions: list[BinRegion],
     x: np.ndarray,
     y: np.ndarray,
     areas: np.ndarray,
     gamma: float,
     leaf_size: int,
-    depth: int,
     stats: ProjectionStats | None,
 ) -> None:
-    """Recursive top-down geometric partitioning with linear rescaling."""
-    if stats is not None and depth > stats.max_recursion_depth:
-        stats.max_recursion_depth = depth
-    bins_x = region.ix1 - region.ix0
-    bins_y = region.iy1 - region.iy0
-    if items.size == 0:
+    """Top-down partitioning of a batch of regions, one tree level at a time.
+
+    A node is a bin region and the items it holds, kept contiguous in
+    ``items`` with ``node_of`` non-decreasing.  An empty node stops; a
+    node of one bin or of at most ``leaf_size`` items becomes a leaf;
+    every other node is cut in two (:func:`_split_level`).  Distinct
+    nodes hold distinct items and each moves only its own, so cutting a
+    whole level at once moves every item exactly as cutting the nodes one
+    by one (depth first) would.  Leaves are spread together at the end.
+    """
+    members: list[np.ndarray] = []
+    roots: list[tuple[int, int, int, int]] = []
+    for region in regions:
+        rect = grid.region_rect(region)
+        inside = (
+            (x >= rect.xlo) & (x <= rect.xhi)
+            & (y >= rect.ylo) & (y <= rect.yhi)
+        )
+        found = np.flatnonzero(inside)
+        if found.size:
+            members.append(found)
+            roots.append((region.ix0, region.iy0, region.ix1, region.iy1))
+    if not members:
         return
-    if (bins_x <= 1 and bins_y <= 1) or items.size <= leaf_size:
-        _scale_leaf(grid, region, items, x, y)
-        return
-
-    # Cut across the dimension with more bins (ties: the physically wider).
-    rect = grid.region_rect(region)
-    if bins_x > bins_y or (bins_x == bins_y and rect.width >= rect.height):
-        axis, coords = "x", x
-        mid = region.ix0 + bins_x // 2
-        left = BinRegion(region.ix0, region.iy0, mid, region.iy1)
-        right = BinRegion(mid, region.iy0, region.ix1, region.iy1)
-        cut_phys = grid.bounds.xlo + mid * grid.bin_w
-        lo, hi = rect.xlo, rect.xhi
-    else:
-        axis, coords = "y", y
-        mid = region.iy0 + bins_y // 2
-        left = BinRegion(region.ix0, region.iy0, region.ix1, mid)
-        right = BinRegion(region.ix0, mid, region.ix1, region.iy1)
-        cut_phys = grid.bounds.ylo + mid * grid.bin_h
-        lo, hi = rect.ylo, rect.yhi
-
-    order = np.argsort(coords[items], kind="stable")
-    sorted_items = items[order]
-    k = split_by_capacity(
-        areas[sorted_items],
-        _region_capacity(grid, gamma, left),
-        _region_capacity(grid, gamma, right),
-    )
-    left_items = sorted_items[:k]
-    right_items = sorted_items[k:]
-
-    # Source split coordinate: midpoint between the two groups.
-    if k == 0:
-        src_split = lo
-    elif k == sorted_items.size:
-        src_split = hi
-    else:
-        src_split = 0.5 * (
-            coords[sorted_items[k - 1]] + coords[sorted_items[k]]
-        )
-    src_split = min(max(src_split, lo), hi)
-
-    if left_items.size:
-        coords[left_items] = linear_scale(
-            coords[left_items], lo, src_split, lo, cut_phys
-        )
-    if right_items.size:
-        coords[right_items] = linear_scale(
-            coords[right_items], src_split, hi, cut_phys, hi
-        )
-
-    _bisect(grid, left, left_items, x, y, areas, gamma, leaf_size,
-            depth + 1, stats)
-    _bisect(grid, right, right_items, x, y, areas, gamma, leaf_size,
-            depth + 1, stats)
+    nodes = np.array(roots, dtype=np.int64)
+    items = np.concatenate(members)
+    node_of = np.repeat(np.arange(len(members), dtype=np.int64),
+                        [m.size for m in members])
+    leaf_nodes: list[np.ndarray] = []
+    leaf_counts: list[np.ndarray] = []
+    leaf_items: list[np.ndarray] = []
+    depth = 0
+    while True:
+        if stats is not None and depth > stats.max_recursion_depth:
+            stats.max_recursion_depth = depth
+        counts = np.bincount(node_of, minlength=nodes.shape[0])
+        one_bin = ((nodes[:, 2] - nodes[:, 0] <= 1)
+                   & (nodes[:, 3] - nodes[:, 1] <= 1))
+        split = (counts > 0) & ~one_bin & (counts > leaf_size)
+        leaf = (counts > 0) & ~split
+        in_split = split[node_of]
+        if leaf.any():
+            leaf_nodes.append(nodes[leaf])
+            leaf_counts.append(counts[leaf])
+            leaf_items.append(items[~in_split])
+        if not split.any():
+            break
+        rank = np.cumsum(split) - 1
+        nodes, items, node_of = _split_level(
+            grid, gamma, nodes[split], counts[split], items[in_split],
+            rank[node_of[in_split]], x, y, areas)
+        depth += 1
+    _spread_leaves(grid, np.concatenate(leaf_nodes),
+                   np.concatenate(leaf_counts), np.concatenate(leaf_items),
+                   x, y)
 
 
-def _scale_leaf(
+def _split_level(
     grid: DensityGrid,
-    region: BinRegion,
+    gamma: float,
+    nodes: np.ndarray,
+    counts: np.ndarray,
+    items: np.ndarray,
+    node_of: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    areas: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cut every node of one level; returns the next level's nodes.
+
+    Per node, exactly as the one-node-at-a-time recursion did: cut across
+    the dimension with more bins (ties: the physically wider) at the
+    middle bin line; sort the items along that axis (stable); choose the
+    prefix ``k`` whose area best matches the left side's share of the
+    gamma-scaled capacity; rescale both sides linearly into their halves.
+    Children come in (left, right) pairs, items in sorted order.
+    """
+    b = grid.bounds
+    ix0, iy0, ix1, iy1 = nodes.T
+    bins_x = ix1 - ix0
+    bins_y = iy1 - iy0
+    xlo = b.xlo + ix0 * grid.bin_w
+    xhi = b.xlo + ix1 * grid.bin_w
+    ylo = b.ylo + iy0 * grid.bin_h
+    yhi = b.ylo + iy1 * grid.bin_h
+    on_x = (bins_x > bins_y) | ((bins_x == bins_y) & (xhi - xlo >= yhi - ylo))
+    mid = np.where(on_x, ix0 + bins_x // 2, iy0 + bins_y // 2)
+    cut = np.where(on_x, b.xlo + mid * grid.bin_w, b.ylo + mid * grid.bin_h)
+    lo = np.where(on_x, xlo, ylo)
+    hi = np.where(on_x, xhi, yhi)
+    children = np.repeat(nodes, 2, axis=0)
+    children[0::2, 2] = np.where(on_x, mid, ix1)
+    children[0::2, 3] = np.where(on_x, iy1, mid)
+    children[1::2, 0] = np.where(on_x, mid, ix0)
+    children[1::2, 1] = np.where(on_x, iy0, mid)
+    capacity = gamma * grid.capacity_sums(children)
+    cap_left = capacity[0::2]
+    total_cap = cap_left + capacity[1::2]
+
+    key = np.where(on_x[node_of], x[items], y[items])
+    order = np.lexsort((key, node_of))
+    items = items[order]
+    key = key[order]
+    start = np.cumsum(counts) - counts
+    pos = np.arange(items.shape[0], dtype=np.int64) - start[node_of]
+    sorted_areas = areas[items]
+
+    # A node's total area is np.sum of its sorted areas (numpy's pairwise
+    # order); its prefix areas run left to right, like np.cumsum of one
+    # node, from a leading zero.
+    width = int(counts.max())
+    padded = np.zeros((nodes.shape[0], 1 + 8 * (width // 8 + 1)),
+                      dtype=np.float64)
+    padded[node_of, pos + 1] = sorted_areas
+    total = row_sums(padded[:, 1:], counts)
+    prefix = np.cumsum(padded, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        target = total * cap_left / total_cap
+    dist = np.abs(prefix - target[:, None])
+    dist[np.arange(prefix.shape[1], dtype=np.int64) > counts[:, None]] = np.inf
+    k = np.argmin(dist, axis=1)
+    k = np.where((total_cap <= 0) | (total <= 0), counts // 2, k)
+
+    # Source split: midpoint between the two groups, clamped to the node.
+    last = start + counts - 1
+    below = key[np.maximum(start + k - 1, start)]
+    above = key[np.minimum(start + k, last)]
+    src = np.where(k == 0, lo, np.where(k == counts, hi, 0.5 * (below + above)))
+    src = np.where(lo > src, lo, src)
+    src = np.where(hi < src, hi, src)
+
+    # Linear rescale [lo, src] -> [lo, cut] and [src, hi] -> [cut, hi].
+    child = 2 * node_of + (pos >= k[node_of])
+    src_lo = np.column_stack((lo, src)).ravel()
+    src_hi = np.column_stack((src, hi)).ravel()
+    dst_lo = np.column_stack((lo, cut)).ravel()
+    dst_hi = np.column_stack((cut, hi)).ravel()
+    span = (src_hi - src_lo)[child]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (key - src_lo[child]) / span
+    moved = np.where(span <= 0, (0.5 * (dst_lo + dst_hi))[child],
+                     dst_lo[child] + t * (dst_hi - dst_lo)[child])
+    along_x = on_x[node_of]
+    x[items[along_x]] = moved[along_x]
+    y[items[~along_x]] = moved[~along_x]
+    return children, items, child
+
+
+def _spread_leaves(
+    grid: DensityGrid,
+    nodes: np.ndarray,
+    counts: np.ndarray,
     items: np.ndarray,
     x: np.ndarray,
     y: np.ndarray,
 ) -> None:
-    """Evenly spread leaf items across their (single-bin) region.
+    """Spread every leaf's items across its region, all leaves at once.
 
     The parent cuts guarantee the leaf's *area* budget, but a clumped
     input leaves all items piled at one edge of the bin (linear scaling
     preserves clumps), which leaks their rasterized area into neighboring
-    bins.  Order-preserving even spreading inside the bin evens the
-    density out, mirroring SimPL's final one-dimensional spreading step.
+    bins.  Per axis, a leaf whose items span less than a quarter of its
+    width is spread evenly in stable sorted order, mirroring SimPL's final
+    one-dimensional spreading step; a leaf already spread out but reaching
+    past its region is scaled linearly back in; any other leaf stays.
+
+    The 0.25 trigger balances two failure modes: always even-spreading
+    keeps re-shuffling near-feasible bins (hurting the self-consistency of
+    Formula 11), while never doing it leaves clumps piled on bin
+    boundaries whose rasterized area leaks into neighbors.  Measured on
+    the S2 experiment, 0.25 maximizes consistency AND final HPWL
+    simultaneously.
     """
-    rect = grid.region_rect(region)
-    for coords, lo, hi in ((x, rect.xlo, rect.xhi), (y, rect.ylo, rect.yhi)):
+    b = grid.bounds
+    leaf_of = np.repeat(np.arange(nodes.shape[0], dtype=np.int64), counts)
+    start = np.cumsum(counts) - counts
+    sides = (
+        (x, b.xlo + nodes[:, 0] * grid.bin_w, b.xlo + nodes[:, 2] * grid.bin_w),
+        (y, b.ylo + nodes[:, 1] * grid.bin_h, b.ylo + nodes[:, 3] * grid.bin_h),
+    )
+    for coords, lo, hi in sides:
         vals = coords[items]
-        v_lo, v_hi = float(vals.min()), float(vals.max())
-        span = v_hi - v_lo
-        # The 0.25 trigger balances two failure modes: always
-        # even-spreading keeps re-shuffling near-feasible bins (hurting
-        # the self-consistency of Formula 11), while never doing it
-        # leaves clumps piled on bin boundaries whose rasterized area
-        # leaks into neighbors.  Measured on the S2 experiment, 0.25
-        # maximizes consistency AND final HPWL simultaneously.
-        if span < 0.25 * (hi - lo):
-            # Clumped input: even out the density inside the bin.
-            order = np.argsort(vals, kind="stable")
-            coords[items[order]] = even_spread(vals, lo, hi)
-        elif v_lo < lo or v_hi > hi:
-            # Already spread out: minimum disturbance, just fit the bin.
-            coords[items] = linear_scale(vals, min(v_lo, lo), max(v_hi, hi), lo, hi)
+        v_lo = np.minimum.reduceat(vals, start)
+        v_hi = np.maximum.reduceat(vals, start)
+        clumped = v_hi - v_lo < 0.25 * (hi - lo)
+        spill = ~clumped & ((v_lo < lo) | (v_hi > hi))
+
+        pick = clumped[leaf_of]
+        if pick.any():
+            # Even spread: the r-th of n items (stable order) goes to
+            # lo + (r + 0.5) / n * (hi - lo); a lone item to the center.
+            owner = leaf_of[pick]
+            order = np.lexsort((vals[pick], owner))
+            n = counts[owner]
+            first = np.cumsum(pick)[start[owner]] - 1
+            rank = np.arange(owner.shape[0], dtype=np.float64) - first
+            t = (rank + 0.5) / n
+            coords[items[pick][order]] = np.where(
+                n == 1, (0.5 * (lo + hi))[owner],
+                lo[owner] + t * (hi - lo)[owner])
+
+        pick = spill[leaf_of]
+        if pick.any():
+            owner = leaf_of[pick]
+            src_lo = np.where(lo < v_lo, lo, v_lo)[owner]
+            src_hi = np.where(hi > v_hi, hi, v_hi)[owner]
+            span = src_hi - src_lo
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = (vals[pick] - src_lo) / span
+            coords[items[pick]] = np.where(
+                span <= 0, (0.5 * (lo + hi))[owner],
+                lo[owner] + t * (hi - lo)[owner])

@@ -1,65 +1,17 @@
-"""One-dimensional spreading primitives for the feasibility projection.
+"""One-dimensional spreading for the alternating feasibility projection.
 
 Paper Section S2 formalizes SimPL-style look-ahead legalization as a
 sequence of convex one-dimensional problems: after sorting, the distances
 between neighboring cells become the variables, subject to per-window
-area (density) lower bounds — a convex feasible set.  The primitives here
-realize that:
-
-* :func:`linear_scale` — the piecewise-linear coordinate stretch used by
-  top-down partitioning,
-* :func:`split_by_capacity` — area-median cell split matching sub-region
-  capacities,
-* :func:`spread_with_spacing` — minimum-displacement order-preserving
-  spreading with pairwise spacing lower bounds, solved exactly (in L2)
-  with pool-adjacent-violators (PAVA) after a change of variables.
+area (density) lower bounds — a convex feasible set.
+:func:`spread_with_spacing` solves one such problem: minimum-displacement
+order-preserving spreading with pairwise spacing lower bounds, exactly
+(in L2) with pool-adjacent-violators (PAVA) after a change of variables.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def linear_scale(
-    coords: np.ndarray,
-    src_lo: float,
-    src_hi: float,
-    dst_lo: float,
-    dst_hi: float,
-) -> np.ndarray:
-    """Map coordinates affinely from ``[src_lo, src_hi]`` to the target.
-
-    Degenerate source intervals collapse to the target center.
-    """
-    if dst_hi < dst_lo:
-        raise ValueError("target interval is reversed")
-    span = src_hi - src_lo
-    if span <= 0:
-        return np.full_like(np.asarray(coords, dtype=np.float64),
-                            0.5 * (dst_lo + dst_hi))
-    t = (np.asarray(coords, dtype=np.float64) - src_lo) / span
-    return dst_lo + t * (dst_hi - dst_lo)
-
-
-def split_by_capacity(
-    areas_sorted: np.ndarray,
-    capacity_left: float,
-    capacity_right: float,
-) -> int:
-    """Index ``k`` splitting sorted cells so left-side area tracks capacity.
-
-    Cells ``[0, k)`` go left, ``[k, n)`` go right.  The split point is the
-    prefix whose area fraction best matches the left capacity fraction —
-    the "median should divide cell area evenly" rule of Section S2.
-    """
-    total_cap = capacity_left + capacity_right
-    total_area = float(areas_sorted.sum())
-    if total_cap <= 0 or total_area <= 0:
-        return len(areas_sorted) // 2
-    target = total_area * capacity_left / total_cap
-    prefix = np.concatenate([[0.0], np.cumsum(areas_sorted)])
-    k = int(np.argmin(np.abs(prefix - target)))
-    return min(max(k, 0), len(areas_sorted))
 
 
 def _isotonic_l2(values: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
@@ -142,18 +94,3 @@ def spread_with_spacing(
         if z[i] - z[i - 1] < prefix[i] - prefix[i - 1] - 1e-12:
             z[i] = z[i - 1] + (prefix[i] - prefix[i - 1])
     return z
-
-
-def even_spread(coords: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Distribute sorted coordinates evenly across ``[lo, hi]``.
-
-    Used for leaf bins when displacement hardly matters (few cells in a
-    tiny window); preserves the input order.
-    """
-    n = np.asarray(coords).shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.float64)
-    if n == 1:
-        return np.array([0.5 * (lo + hi)], dtype=np.float64)
-    t = (np.arange(n, dtype=np.float64) + 0.5) / n
-    return lo + t * (hi - lo)

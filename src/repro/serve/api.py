@@ -39,7 +39,6 @@ from __future__ import annotations
 import json
 import logging
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
@@ -56,6 +55,9 @@ logger = logging.getLogger(__name__)
 
 #: Submission bodies above this are refused outright (1 MiB).
 MAX_BODY_BYTES = 1 << 20
+
+#: An event stream silent this long sends a keep-alive comment.
+KEEP_ALIVE_SECONDS = 5.0
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -266,7 +268,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.flush()
         cursor = since
-        idle_polls = 0
         try:
             while True:
                 # ``done`` before the drain: a terminal job already holds
@@ -282,21 +283,18 @@ class _Handler(BaseHTTPRequestHandler):
                     self._sse(cursor + offset + 1, "progress", event)
                 cursor = next_since
                 if events:
-                    idle_polls = 0
                     self.wfile.flush()
                 if done:
                     self._sse(cursor, "done",
                               {"state": record.snapshot()["state"]})
                     self.wfile.flush()
                     return
-                if not events:
-                    idle_polls += 1
-                    if idle_polls % 100 == 0:
-                        # Comment heartbeat keeps proxies from timing
-                        # the idle connection out.
-                        self.wfile.write(b": keep-alive\n\n")
-                        self.wfile.flush()
-                time.sleep(0.05)
+                # Wait until the job appends an event or finishes.
+                if not record.wait_events(cursor, KEEP_ALIVE_SECONDS):
+                    # Comment heartbeat keeps proxies from timing the
+                    # idle connection out.
+                    self.wfile.write(b": keep-alive\n\n")
+                    self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError, OSError):
             pass  # client went away; nothing to clean up
 

@@ -245,6 +245,12 @@ class JobRecord:
                                      repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False)
+    #: Notified, under ``_lock``, whenever an event is appended or the
+    #: state changes, so event streams wait instead of polling.
+    _changed: threading.Condition = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._changed = threading.Condition(self._lock)
 
     # ------------------------------------------------------------------
     # mutation (all under the lock)
@@ -254,6 +260,7 @@ class JobRecord:
         with self._lock:
             self._events_dropped += _append_bounded(
                 self._events, event, self.keep_events)
+            self._changed.notify_all()
 
     def record_recovery(self, entry: dict[str, Any]) -> None:
         """Append one service-level recovery action (attempt crash/retry)."""
@@ -276,6 +283,7 @@ class JobRecord:
                 self.started_at = now
             if state in TERMINAL_STATES:
                 self.finished_at = now
+            self._changed.notify_all()
 
     def start_attempt(self, tier: str, now: float) -> int:
         """Mark one worker attempt started; returns its 1-based ordinal."""
@@ -303,6 +311,7 @@ class JobRecord:
             self.run_dir = run_dir
             self.state = JobState.SUCCEEDED
             self.finished_at = now
+            self._changed.notify_all()
 
     def set_trace(self, doc: dict[str, Any]) -> None:
         """Attach the merged Chrome-trace document (tracing runs only)."""
@@ -334,6 +343,15 @@ class JobRecord:
     def done(self) -> bool:
         with self._lock:
             return self.state in TERMINAL_STATES
+
+    def wait_events(self, since: int, timeout: float) -> bool:
+        """Block until an event past ordinal ``since`` exists or the job is
+        terminal; False if ``timeout`` seconds pass first."""
+        with self._changed:
+            return self._changed.wait_for(
+                lambda: (self._events_dropped + len(self._events) > since
+                         or self.state in TERMINAL_STATES),
+                timeout)
 
     def events_since(
         self, since: int,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from repro import NetlistBuilder, Placement, Rect
 from repro.netlist import CellKind, CoreArea, PlacementRegion
@@ -17,6 +19,7 @@ from repro.projection import (
     shred_counts,
     snap_to_regions,
 )
+from repro.projection.lal import _touches
 
 
 def std_netlist(n=40, core_side=20.0):
@@ -260,3 +263,117 @@ class TestFeasibilityProjection:
         moved = np.abs(result.placement.x[macros] - p.x[macros]) + \
             np.abs(result.placement.y[macros] - p.y[macros])
         assert (moved > 0).any()
+
+
+# Fixed example sets (derandomize) and no deadline: the properties below
+# must hold exactly, on every run, however slow the runner.
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.too_slow,
+                                           HealthCheck.filter_too_much])
+
+
+def _core_netlist(core, cells=((1.0, 1.0), (1.0, 1.0))):
+    """A netlist over ``core`` holding ``cells`` as movable cells."""
+    b = NetlistBuilder("prop", core=core)
+    for i, (w, h) in enumerate(cells):
+        b.add_cell(f"c{i}", w, h)
+    b.add_net("n", [("c0", 0.0, 0.0), ("c1", 0.0, 0.0)])
+    return b.build()
+
+
+class TestPaperProperties:
+    """Properties of ``P_C`` the paper's argument rests on, checked exactly."""
+
+    @PROPERTY
+    @given(horizontal=st.booleans(), bins=st.integers(1, 24),
+           length=st.floats(3.0, 90.0), rows=st.integers(1, 5),
+           offset=st.floats(-50.0, 50.0), n=st.integers(1, 150),
+           ties=st.booleans(), gamma=st.floats(0.5, 1.0),
+           leaf_size=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_one_dimensional_grid_preserves_order(
+            self, horizontal, bins, length, rows, offset, n, ties, gamma,
+            leaf_size, seed):
+        """S2: on an n x 1 (or 1 x n) grid every cut runs along one axis,
+        so the cells of one expansion region leave in their stable input
+        order along it (non-decreasing, ties included)."""
+        rng = np.random.default_rng(seed)
+        width, height = (length, rows) if horizontal else (rows, length)
+        core = CoreArea.uniform(
+            Rect(offset, offset, offset + width, offset + height),
+            row_height=1.0)
+        grid = DensityGrid(_core_netlist(core),
+                           *((bins, 1) if horizontal else (1, bins)))
+        b = grid.bounds
+        lo, span = (b.xlo, b.width) if horizontal else (b.ylo, b.height)
+        thickness = b.height if horizontal else b.width
+        along = lo + rng.uniform(0.2, 0.8) * span + rng.normal(
+            0, rng.uniform(0.02, 0.3) * span, n)
+        if ties:
+            along = rng.choice(np.round(along, 1), n)
+        across = (b.ylo if horizontal else b.xlo) + rng.uniform(
+            0, thickness, n)
+        size = rng.uniform(0.1, 2.0, n)
+        x, y = (along, across) if horizontal else (across, along)
+        w, h = ((size, np.full(n, 0.3 * thickness)) if horizontal
+                else (np.full(n, 0.3 * thickness), size))
+        px, py = project_rectangles(grid, x, y, w, h, gamma, leaf_size)
+        moved = px if horizontal else py
+        usage = grid.usage(None, extra=(x, y, w, h))
+        regions = find_expansion_regions(grid, usage, gamma)
+        for region in regions:
+            # A region touching another may also receive cells the other
+            # moved onto the shared line; the order claim is per region.
+            if any(_touches(region, other) for other in regions
+                   if other is not region):
+                continue
+            rect = grid.region_rect(region)
+            members = np.flatnonzero((x >= rect.xlo) & (x <= rect.xhi)
+                                     & (y >= rect.ylo) & (y <= rect.yhi))
+            order = members[np.argsort(along[members], kind="stable")]
+            assert np.all(np.diff(moved[order]) >= 0.0)
+
+    @PROPERTY
+    @given(nx=st.integers(1, 12), ny=st.integers(1, 12),
+           width=st.floats(4.0, 60.0), height=st.floats(4.0, 60.0),
+           offset=st.floats(-20.0, 20.0), fill=st.floats(0.0, 0.95),
+           gamma=st.floats(0.5, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_feasible_input_is_a_fixed_point(self, nx, ny, width, height,
+                                             offset, fill, gamma, seed):
+        """Section 4: with no overfilled bin, ``project_rectangles``
+        returns its input byte for byte and ``P_C`` reports ``pi == 0``."""
+        rng = np.random.default_rng(seed)
+        core = CoreArea.uniform(
+            Rect(offset, offset, offset + width, offset + height),
+            row_height=1.0)
+        b = core.bounds
+        bin_w, bin_h = b.width / nx, b.height / ny
+        # Up to three cells per bin, each inside its bin, together at
+        # most ``fill * gamma`` of the bin's area.
+        cells, xs, ys = [], [], []
+        for ix in range(nx):
+            for iy in range(ny):
+                k = int(rng.integers(0, 4))
+                for _ in range(k):
+                    fx, fy = rng.uniform(0.05, 1.0, 2)
+                    fy = min(fy, fill * gamma / k / fx)
+                    cells.append((fx * bin_w * 0.999, fy * bin_h * 0.999))
+                    xs.append(b.xlo + (ix + rng.uniform(0.5 * fx, 1 - 0.5 * fx))
+                              * bin_w)
+                    ys.append(b.ylo + (iy + rng.uniform(0.5 * fy, 1 - 0.5 * fy))
+                              * bin_h)
+        assume(len(cells) >= 2)
+        netlist = _core_netlist(core, cells)
+        grid = DensityGrid(netlist, nx, ny)
+        x, y = np.array(xs), np.array(ys)
+        w, h = netlist.widths, netlist.heights
+        assume(not grid.overfilled_bins(
+            grid.usage(None, extra=(x, y, w, h)), gamma).any())
+
+        px, py = project_rectangles(grid, x, y, w, h, gamma)
+        assert px.tobytes() == x.tobytes()
+        assert py.tobytes() == y.tobytes()
+        result = FeasibilityProjection(netlist, gamma=gamma)(
+            Placement(x.copy(), y.copy()), nx=nx, ny=ny)
+        assert result.pi == 0.0
+        assert result.placement.x.tobytes() == x.tobytes()
+        assert result.placement.y.tobytes() == y.tobytes()

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.serve import PlacementService, ServeConfig
+from repro.runs import RunRegistry
+from repro.serve import PlacementService, ServeConfig, api
 
 POLL = 0.05
 
@@ -279,3 +281,56 @@ class TestCancelAndDrain:
             assert request("GET", f"{base}/healthz")[0] == 200
         finally:
             svc.stop(drain=False, timeout=5.0)
+
+
+class _ClockThatFailsOnSleep:
+    """Stands in for ``time`` in ``repro.serve.api``: any sleep fails."""
+
+    def __getattr__(self, name):
+        return getattr(time, name)
+
+    @staticmethod
+    def sleep(seconds):
+        raise AssertionError(f"the event stream slept {seconds} s to poll")
+
+
+class TestEventStreamWakeup:
+    def test_stream_waits_on_the_job_instead_of_polling(self, base,
+                                                        monkeypatch):
+        """A stream that is idle while its job runs must be woken by the
+        job itself: with every sleep in the HTTP layer failing, it still
+        delivers the last event and ``done``.  The job is held at its
+        archive step until the stream is open and has drained."""
+        monkeypatch.setattr(api, "time", _ClockThatFailsOnSleep(),
+                            raising=False)
+        entered, release = threading.Event(), threading.Event()
+        capture = RunRegistry.capture
+
+        def held_capture(self, *args, **kwargs):
+            entered.set()
+            assert release.wait(90.0), "capture never released"
+            return capture(self, *args, **kwargs)
+
+        monkeypatch.setattr(RunRegistry, "capture", held_capture)
+        lines = []
+        try:
+            status, _, body = request("POST", f"{base}/v1/jobs", payload())
+            assert status == 202
+            assert entered.wait(90.0), "the job never reached its archive"
+            req = urllib.request.Request(
+                f"{base}/v1/jobs/{body['job_id']}/events?stream=1",
+                headers={"X-Tenant": "t1"})
+            with urllib.request.urlopen(req, timeout=60.0) as response:
+                for raw in response:  # until the server closes the stream
+                    line = raw.decode().rstrip("\n")
+                    lines.append(line)
+                    if line.startswith("id:"):
+                        # The stream has reached the running job's events.
+                        release.set()
+        finally:
+            release.set()
+        assert "event: done" in lines
+        data = [json.loads(line[5:]) for line in lines
+                if line.startswith("data:")]
+        assert data[-1] == {"state": "succeeded"}
+        assert data[-2]["stage"] == "succeeded"

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.serve.config import DEFAULT_TIERS, DegradationTier, ServeConfig
@@ -282,6 +285,50 @@ class TestJobRecord:
         assert snap["attempts"] == 1
         assert snap["queue_wait_seconds"] == pytest.approx(1.0)
         assert snap["run_seconds"] == pytest.approx(2.5)
+
+    def test_wait_events(self):
+        record = self._record()
+        assert not record.wait_events(0, 0.0)
+        record.add_event({"i": 0})
+        assert record.wait_events(0, 0.0)
+        assert not record.wait_events(1, 0.0)
+        record.transition(JobState.FAILED, now=1.0)
+        assert record.wait_events(1, 0.0)
+
+    def test_waiting_readers_see_every_event_and_the_end(self):
+        """More waiting readers than cores, one writer, a short switch
+        interval: readers that only wake on the record's notifications
+        still collect every event, in order, and then the terminal
+        state."""
+        record = self._record()
+        seen: list[list[int]] = [[] for _ in range(6)]
+
+        def reader(out):
+            cursor = 0
+            while True:
+                done = record.done
+                events, cursor, _ = record.events_since(cursor)
+                out.extend(e["i"] for e in events)
+                if done:
+                    return
+                record.wait_events(cursor, 30.0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader, args=(out,))
+                       for out in seen]
+            for thread in threads:
+                thread.start()
+            for i in range(300):
+                record.add_event({"i": i})
+            record.transition(JobState.SUCCEEDED, now=1.0)
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [list(range(300))] * 6
 
     def test_cancel_flag(self):
         record = self._record()

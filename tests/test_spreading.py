@@ -1,16 +1,17 @@
-"""Tests for the 1-D spreading primitives (convex subproblems of S2)."""
+"""Tests for the 1-D spreading primitives (convex subproblems of S2).
+
+``linear_scale``, ``split_by_capacity`` and ``even_spread`` are the
+primitives of the recursive look-ahead legalization, which lives on only
+as the reference in ``_reference_projection``; they are imported from it.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.projection import (
-    even_spread,
-    linear_scale,
-    split_by_capacity,
-    spread_with_spacing,
-)
+from _reference_projection import even_spread, linear_scale, split_by_capacity
+from repro.projection import spread_with_spacing
 from repro.projection.spreading import _isotonic_l2
 
 
