@@ -17,16 +17,16 @@ def test_fig1_convergence_run(benchmark, design_cache):
     placer = ComPLxPlacer(design.netlist, ComPLxConfig())
 
     result = benchmark.pedantic(placer.place, rounds=1, iterations=1)
-    h = result.history
-    lagrangian = h.series("lagrangian")
-    phi = h.series("phi_lower")
-    pi = h.series("pi")
+    metrics = result.metrics
+    lagrangian = metrics.series("lagrangian").as_array()
+    phi = metrics.series("phi_lower").as_array()
+    pi = metrics.series("pi").as_array()
 
     third = max(len(lagrangian) // 3, 1)
     assert lagrangian[third - 1] > lagrangian[0]      # steep early rise
     assert pi[-1] < 0.6 * pi[:3].max()                # Pi decreases
     assert phi[-1] > phi[0]                           # Phi increases
-    assert np.all(h.series("phi_lower") <= h.series("phi_upper") + 1e-6)
+    assert np.all(phi <= metrics.series("phi_upper").as_array() + 1e-6)
 
     benchmark.extra_info["iterations"] = result.iterations
     benchmark.extra_info["final_lambda"] = result.final_lambda

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
-import hashlib
 import json
 import logging
 import os
@@ -38,7 +36,7 @@ from .models import hpwl
 from .netlist.bookshelf import BookshelfError, read_aux, write_aux
 from .projection.grid import DensityGrid, default_grid_shape
 from .report import build_report, record_stage_totals, render_html, \
-    write_report
+    run_fingerprints, write_report
 from .resilience import CheckpointError, legalize_with_fallback
 from .runs import RunRegistry
 from .viz import placement_svg
@@ -239,25 +237,6 @@ def _place_flow(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fingerprints(netlist, placer) -> dict[str, str]:
-    """Short stable digests identifying the design and the config."""
-    digest = hashlib.sha256()
-    digest.update(str((netlist.num_cells, netlist.num_nets)).encode())
-    for array in (netlist.areas, netlist.widths, netlist.heights):
-        digest.update(array.tobytes())
-    out = {"netlist_fingerprint": digest.hexdigest()[:16]}
-    config = getattr(placer, "config", None)
-    if config is not None:
-        try:
-            doc = dataclasses.asdict(config)
-        except TypeError:
-            doc = {"repr": repr(config)}
-        encoded = json.dumps(doc, sort_keys=True, default=str).encode()
-        out["config_fingerprint"] = \
-            hashlib.sha256(encoded).hexdigest()[:16]
-    return out
-
-
 def _emit_run_report(args, netlist, placer, final, registry,
                      recovery_events) -> None:
     """Render the run report and/or archive the run (place --report /
@@ -267,7 +246,8 @@ def _emit_run_report(args, netlist, placer, final, registry,
         record_stage_totals(registry, tracer)
     if recovery_events:
         registry.meta["recovery_events"] = json.dumps(recovery_events)
-    registry.meta.update(_fingerprints(netlist, placer))
+    registry.meta.update(run_fingerprints(netlist,
+                                          getattr(placer, "config", None)))
     bins = default_grid_shape(netlist.num_movable)
     grid = DensityGrid(netlist, bins, bins)
     density = grid.utilization(grid.usage(final), args.gamma)

@@ -1,16 +1,15 @@
 """Per-iteration records of a ComPLx run (compatibility shim).
 
-.. deprecated::
-    :class:`RunHistory` is the legacy recording API.  The canonical
-    store for per-iteration trajectories is now a
-    :class:`repro.telemetry.MetricsRegistry` — reach it through
-    ``result.metrics`` (:attr:`GlobalPlacementResult.metrics
-    <repro.core.complx.GlobalPlacementResult.metrics>`), whose named
-    series (``lam``, ``pi``, ``phi_lower``, ...) carry exactly the
-    fields below.  ``RunHistory`` remains as a thin shim because the
-    checkpoint format and the supervisor's rollback transact on its
-    record list; :meth:`RunHistory.series` and :meth:`RunHistory.to_csv`
-    emit :class:`DeprecationWarning` and delegate to the registry.
+The canonical store for per-iteration trajectories is a
+:class:`repro.telemetry.MetricsRegistry`: reach it through
+``result.metrics`` (:attr:`GlobalPlacementResult.metrics
+<repro.core.complx.GlobalPlacementResult.metrics>`), whose named series
+(``lam``, ``pi``, ``phi_lower``, ...) carry exactly the fields below —
+``result.metrics.series(name).as_array()`` for one series,
+``result.metrics.write_csv(path)`` for a table.  :class:`RunHistory`
+remains only as the record list the checkpoint format and the
+supervisor's rollback transact on; :meth:`RunHistory.to_metrics`
+derives the registry from it.
 
 Figure 1 of the paper plots the progressions of L (total Lagrangian),
 Phi (interconnect) and Pi (L1 distance to legal) over iterations; Figure 3
@@ -20,10 +19,7 @@ everything those plots need, plus grid/solver diagnostics.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, fields
-
-import numpy as np
 
 from ..telemetry import MetricsRegistry
 
@@ -61,11 +57,10 @@ SERIES_FIELDS = tuple(
 
 @dataclass
 class RunHistory:
-    """Ordered iteration records with convenience extractors.
+    """Ordered iteration records: the checkpoint/rollback data carrier.
 
-    .. deprecated:: use ``result.metrics`` (a
-        :class:`~repro.telemetry.MetricsRegistry`) for series access;
-        this class persists as the checkpoint/rollback data carrier.
+    For series access use ``result.metrics`` (a
+    :class:`~repro.telemetry.MetricsRegistry`).
     """
 
     records: list[IterationRecord] = field(default_factory=list)
@@ -99,24 +94,6 @@ class RunHistory:
             registry.meta["stop_reason"] = self.stop_reason
         return registry
 
-    def series(self, name: str) -> np.ndarray:
-        """Numpy array of one field across iterations (e.g. ``'pi'``).
-
-        .. deprecated:: use ``result.metrics.series(name).as_array()``.
-        """
-        warnings.warn(
-            "RunHistory.series() is deprecated; use "
-            "result.metrics.series(name).as_array() "
-            "(repro.telemetry.MetricsRegistry)",
-            DeprecationWarning, stacklevel=2,
-        )
-        if name == "iteration":
-            # Mixed int/float fields; numpy picks the natural dtype.
-            return np.array(  # statcheck: ignore[R3]
-                [r.iteration for r in self.records]
-            )
-        return self.to_metrics().series(name).as_array()
-
     @property
     def final_lambda(self) -> float:
         return self.records[-1].lam if self.records else 0.0
@@ -124,18 +101,6 @@ class RunHistory:
     @property
     def iterations(self) -> int:
         return len(self.records)
-
-    def to_csv(self, path: str) -> None:
-        """Dump the records for external plotting.
-
-        .. deprecated:: use ``result.metrics.write_csv(path)``.
-        """
-        warnings.warn(
-            "RunHistory.to_csv() is deprecated; use "
-            "result.metrics.write_csv(path)",
-            DeprecationWarning, stacklevel=2,
-        )
-        self.to_metrics().write_csv(path, series_names=list(SERIES_FIELDS))
 
     def summary(self) -> str:
         if not self.records:

@@ -214,67 +214,3 @@ def _abacus_impl(
     if check_invariants:
         assert_legal(netlist, out, check_sites=snap_sites)
     return out
-
-
-def _abacus_reference(
-    netlist: Netlist,
-    placement: Placement,
-    row_window: int = 4,
-    snap_sites: bool = True,
-) -> Placement:
-    """The historical nested-loop implementation (kept for equivalence
-    tests against the prefiltered vectorized search)."""
-    out = legalize_macros(netlist, placement)
-    rowmap = RowMap(netlist, extra_obstacles=macro_obstacles(netlist, out),
-                    site_align=snap_sites)
-
-    std = np.flatnonzero(netlist.movable & ~netlist.is_macro)
-    if std.size == 0:
-        return out
-    order = std[np.argsort(placement.x[std] - 0.5 * netlist.widths[std],
-                           kind="stable")]
-
-    clusters: list[list[list[_Cluster]]] = [
-        [[] for _ in segs] for segs in rowmap.segments
-    ]
-
-    for cell in order:
-        w = netlist.widths[cell]
-        desired = out.x[cell] - 0.5 * w
-        want_row = rowmap.row_index(out.y[cell])
-        best = None  # (cost, row, seg, new clusters, x)
-        window = row_window
-        while best is None and window <= 4 * rowmap.num_rows:
-            lo_row = max(want_row - window, 0)
-            hi_row = min(want_row + window, rowmap.num_rows - 1)
-            for row in range(lo_row, hi_row + 1):
-                dy = abs(rowmap.row_center_y(row) - out.y[cell])
-                if best is not None and dy >= best[0]:
-                    continue
-                for s, seg in enumerate(rowmap.segments[row]):
-                    trial = _insert(
-                        clusters[row][s], int(cell), desired, 1.0, w,
-                        seg.lo, seg.hi,
-                    )
-                    if trial is None:
-                        continue
-                    new_clusters, x = trial
-                    cost = abs(x - desired) + dy
-                    if best is None or cost < best[0]:
-                        best = (cost, row, s, new_clusters, x)
-            window *= 2
-        if best is None:
-            continue
-        _, row, s, new_clusters, _ = best
-        clusters[row][s] = new_clusters
-
-    for row, row_clusters in enumerate(clusters):
-        y = rowmap.row_center_y(row)
-        for seg_clusters in row_clusters:
-            for cluster in seg_clusters:
-                for cell, off in zip(cluster.cells, cluster.offsets):
-                    out.x[cell] = cluster.x + off + 0.5 * netlist.widths[cell]
-                    out.y[cell] = y
-    if snap_sites:
-        out = snap_placement_to_sites(netlist, out, rowmap)
-    return out

@@ -70,7 +70,8 @@ def _tetris_impl(
     # row window with pure array ops; np.argmin's first-minimum tie
     # break reproduces the historical nested-loop scan (row ascending,
     # segment ascending, strict improvement only) exactly, so this is
-    # placement-identical to :func:`_tetris_reference`.
+    # placement-identical to the nested-loop oracle in
+    # ``tests/_reference_legalize.py``.
     frontier = rowmap.seg_lo.copy()
     seg_start = rowmap.seg_start
     seg_lo, seg_hi = rowmap.seg_lo, rowmap.seg_hi
@@ -115,58 +116,4 @@ def _tetris_impl(
     )
     if check_invariants:
         assert_legal(netlist, out, check_sites=snap_sites)
-    return out
-
-
-def _tetris_reference(
-    netlist: Netlist,
-    placement: Placement,
-    row_window: int = 6,
-    snap_sites: bool = True,
-) -> Placement:
-    """The historical nested-loop implementation (kept for equivalence
-    tests against the vectorized candidate search)."""
-    out = legalize_macros(netlist, placement)
-    rowmap = RowMap(netlist, extra_obstacles=macro_obstacles(netlist, out),
-                    site_align=snap_sites)
-
-    std = np.flatnonzero(netlist.movable & ~netlist.is_macro)
-    if std.size == 0:
-        return out
-    order = std[np.argsort(placement.x[std] - 0.5 * netlist.widths[std],
-                           kind="stable")]
-
-    frontiers: list[list[float]] = [
-        [seg.lo for seg in segs] for segs in rowmap.segments
-    ]
-
-    for cell in order:
-        w = netlist.widths[cell]
-        want_x = out.x[cell] - 0.5 * w
-        want_row = rowmap.row_index(out.y[cell])
-        best = None  # (cost, row, seg index, x position)
-        window = row_window
-        while best is None and window <= 4 * rowmap.num_rows:
-            lo_row = max(want_row - window, 0)
-            hi_row = min(want_row + window, rowmap.num_rows - 1)
-            for row in range(lo_row, hi_row + 1):
-                dy = abs(rowmap.row_center_y(row) - out.y[cell])
-                if best is not None and dy >= best[0]:
-                    continue
-                for s, seg in enumerate(rowmap.segments[row]):
-                    x = max(frontiers[row][s], min(want_x, seg.hi - w))
-                    if x + w > seg.hi + 1e-9 or x < seg.lo - 1e-9:
-                        continue
-                    cost = abs(x - want_x) + dy
-                    if best is None or cost < best[0]:
-                        best = (cost, row, s, x)
-            window *= 2
-        if best is None:
-            continue
-        _, row, s, x = best
-        frontiers[row][s] = x + w
-        out.x[cell] = x + 0.5 * w
-        out.y[cell] = rowmap.row_center_y(row)
-    if snap_sites:
-        out = snap_placement_to_sites(netlist, out, rowmap)
     return out

@@ -4,12 +4,13 @@ The arbiter is a *pure function of observed series*.  Each variant's
 trajectory is deterministic (fixed config + netlist + seed), so the
 stream of per-iteration records it emits — and therefore the number of
 checkpoints it produces before finishing — is a property of the data,
-not of scheduling.  The controller evaluates "round r" only once every
-live variant has streamed checkpoint ``r+1`` or finished, which
-guarantees that at evaluation time the arbiter can tell *from the data
-alone* whether a variant was still mid-flight at checkpoint ``r``.
-Kill decisions therefore replay identically regardless of worker
-scheduling, poll jitter, or how fast results drain from the pipes.
+not of scheduling.  The controller evaluates "round r" once
+:func:`round_settled` says every in-race variant has streamed
+checkpoint ``r+1`` or finished, which guarantees that at evaluation
+time the arbiter can tell *from the data alone* whether a variant was
+still mid-flight at checkpoint ``r``.  Kill decisions therefore replay
+identically regardless of worker scheduling, poll jitter, or how fast
+results drain from the pipes.
 
 Rules (first match wins, candidates visited in sorted variant order):
 
@@ -39,6 +40,7 @@ __all__ = [
     "TRACKED_SERIES",
     "VariantView",
     "pick_winner",
+    "round_settled",
 ]
 
 #: Per-iteration series streamed from race workers to the controller.
@@ -381,6 +383,24 @@ class RaceArbiter:
                 f"{view.gap_target:.3f} target and the feasible cost "
                 f"improved only {100 * improvement:.2f}% over the last "
                 f"{self.stall_window} checkpoints")
+
+
+def round_settled(round_no: int, views: Mapping[str, VariantView]) -> bool:
+    """True once checkpoint round ``round_no`` is decidable from data alone.
+
+    Every in-race view must have streamed checkpoint ``round_no + 1`` or
+    finished: then whether a variant was still mid-flight at checkpoint
+    ``round_no`` is a property of its trajectory, not of message timing.
+    A view not yet started counts with zero checkpoints, so rounds lag
+    until it streams.  The round is judged only while some view streamed
+    more than ``round_no`` checkpoints (no later round can have a
+    candidate), and whether any worker still runs plays no part: a round
+    that became decidable in the same drain that delivered the last
+    results is judged all the same.
+    """
+    return any(view.checkpoints > round_no for view in views.values()) \
+        and all(view.finished or view.checkpoints > round_no
+                for view in views.values())
 
 
 def pick_winner(views: Mapping[str, VariantView]) -> str | None:

@@ -1,18 +1,21 @@
 """The race controller: run a portfolio concurrently, arbitrate, tune.
 
-One single-threaded poll loop owns all state — worker pipes are drained
-with :func:`multiprocessing.connection.wait`, so there are no threads
-and no locks.  The loop enforces the *round barrier* the arbiter's
-replay guarantee rests on: checkpoint round ``r`` is evaluated only
-once every variant still in the race has either streamed checkpoint
-``r + 1`` or finished.  At that point the data alone proves whether a
-variant was still mid-flight at checkpoint ``r``, so the arbiter's
+One single-threaded poll loop owns all state — each variant runs as an
+:class:`~repro.serve.attempt.Attempt` under the crash contract of
+:mod:`repro.serve.attempt`, and the worker pipes are drained with
+:func:`multiprocessing.connection.wait`, so there are no threads and no
+locks.  The loop enforces the *round barrier* the arbiter's replay
+guarantee rests on (:func:`~repro.race.arbiter.round_settled`):
+checkpoint round ``r`` is evaluated once every variant still in the
+race has either streamed checkpoint ``r + 1`` or finished, whether or
+not any worker still runs.  At that point the data alone proves whether
+a variant was still mid-flight at checkpoint ``r``, so the arbiter's
 verdicts are independent of scheduling, poll jitter, and how fast
 results drain from the pipes.
 
 Kill decisions are applied in the arbiter's deterministic order; a
-variant whose result sneaks in after its kill verdict is *still*
-recorded as killed (the result is dropped), because the verdict — not
+variant that finished after the round that kills it is *still*
+recorded as killed (its result is dropped), because the verdict — not
 the message race — is the ground truth.  Crashed workers get exactly
 one retry (their trajectory is deterministic, so the rerun re-streams
 identical series); deterministic errors are terminal.
@@ -34,9 +37,11 @@ from typing import Any
 from ..core import ComPLxConfig
 from ..models.assembly import PLANNABLE_MODELS, AssemblyPlan
 from ..netlist import Netlist
-from ..serve.worker import CRASH_EXIT_CODE, build_netlist
+from ..serve.attempt import CRASH_EXIT_CODE, Attempt
+from ..serve.worker import build_netlist
 from ..telemetry import TraceContext, TraceMerger
-from .arbiter import KillDecision, RaceArbiter, VariantView, pick_winner
+from .arbiter import (KillDecision, RaceArbiter, VariantView, pick_winner,
+                      round_settled)
 from .portfolio import VariantSpec
 from .tuner import AutoTuner
 from .worker import clear_shared, race_worker_entry, share_prebuilt
@@ -116,30 +121,6 @@ class RaceResult:
         }
 
 
-class _Runner:
-    """Parent-side handle for one live worker process."""
-
-    def __init__(self, spec: VariantSpec, process: mp.Process,
-                 conn, started_at: float,
-                 was_retry: bool = False) -> None:
-        self.spec = spec
-        self.process = process
-        self.conn = conn
-        self.started_at = started_at
-        self.span_start = time.perf_counter()
-        self.was_retry = was_retry
-        self.terminal = False   # result or error already drained
-
-    def close(self) -> None:
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-        if self.process.is_alive():
-            self.process.terminate()
-        self.process.join(timeout=5.0)
-
-
 class RaceController:
     """Execute a portfolio race over crash-isolated workers."""
 
@@ -194,6 +175,8 @@ class RaceController:
         self.decisions: list[KillDecision] = []
         self.tuned: list[str] = []
         self._specs: dict[str, VariantSpec] = {}
+        #: Variants whose first worker crashed; they get one rerun.
+        self._retried: set[str] = set()
 
     # ------------------------------------------------------------------
     # Named ``execute`` (not ``run``) so statcheck's conservative
@@ -242,9 +225,8 @@ class RaceController:
             lane = self._lanes[label] = 2 + len(self._lanes)
         return lane
 
-    def _spawn(self, spec: VariantSpec, now: float,
-               was_retry: bool = False) -> _Runner:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
+    def _spawn(self, spec: VariantSpec) -> Attempt:
+        was_retry = spec.variant_id in self._retried
         payload = {
             "variant": {
                 "variant_id": spec.variant_id,
@@ -268,20 +250,13 @@ class RaceController:
                 else spec.variant_id
             payload["trace"] = self.merger.context.child(
                 label, lane=self._lane_for(label)).to_wire()
-        process = self._ctx.Process(
-            target=race_worker_entry, args=(payload, child_conn),
-            name=f"race-{spec.variant_id}", daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        return _Runner(spec, process, parent_conn, now,
-                       was_retry=was_retry)
+        return Attempt(self._ctx, race_worker_entry, payload,
+                       name=f"race-{spec.variant_id}")
 
     # ------------------------------------------------------------------
     def _race_loop(self, started: float) -> RaceResult:
         pending: list[VariantSpec] = list(self.portfolio)
-        running: dict[str, _Runner] = {}
-        retried: set[str] = set()
+        running: dict[str, Attempt] = {}
         killed: set[str] = set()
         round_no = 0
 
@@ -292,34 +267,30 @@ class RaceController:
 
         try:
             while pending or running:
-                now = time.monotonic()
                 while pending and len(running) < self.max_workers:
                     spec = pending.pop(0)
-                    running[spec.variant_id] = self._spawn(
-                        spec, now,
-                        was_retry=spec.variant_id in retried)
+                    running[spec.variant_id] = self._spawn(spec)
 
-                self._drain(running)
-                self._reap(running, pending, retried)
+                self._collect(running, pending)
 
-                next_round = round_no + 1
-                while self._round_settled(next_round, pending, running,
-                                          killed):
-                    round_no = next_round
-                    new_kills = self.arbiter.decide(
-                        round_no, self._in_race_views(killed))
-                    for decision in new_kills:
+                while round_settled(round_no + 1,
+                                    self._in_race_views(killed)):
+                    round_no += 1
+                    for decision in self.arbiter.decide(
+                            round_no, self._in_race_views(killed)):
                         self._apply_kill(decision, running, pending,
                                          killed)
-                    next_round = round_no + 1
                 if not (pending or running):
                     break
-                connection_wait([r.conn for r in running.values()
-                                 if not r.terminal] or [],
+                # A worker that already sent its last message is only
+                # waited on for its exit, which the next pass reaps.
+                connection_wait([attempt.conn
+                                 for vid, attempt in running.items()
+                                 if vid not in self.outcomes],
                                 timeout=_POLL_SECONDS)
         finally:
-            for runner in running.values():
-                runner.close()
+            for attempt in running.values():
+                attempt.reap()
 
         winner = pick_winner(self._in_race_views(killed))
         wall = time.monotonic() - started
@@ -343,51 +314,51 @@ class RaceController:
             out[vid] = view
         return out
 
-    def _round_settled(self, round_no: int, pending: list[VariantSpec],
-                       running: dict[str, _Runner],
-                       killed: set[str]) -> bool:
-        """True once round ``round_no`` is decidable from data alone.
-
-        Every in-race variant must have streamed checkpoint
-        ``round_no + 1`` or finished — then each variant's state *at*
-        checkpoint ``round_no`` is a property of its trajectory, not of
-        message timing.  Pending (not yet started) variants count as
-        in-race with zero checkpoints, so rounds simply lag until they
-        start; the arbiter sees the same prefixes either way.
-        """
-        if not (pending or running):
-            return False  # race over: no more decisions to make
-        views = self._in_race_views(killed)
-        unfinished = [v for v in views.values() if not v.finished]
-        if not unfinished:
-            return False  # nothing left to kill: stop counting rounds
-        for view in unfinished:
-            if view.checkpoints < round_no + 1:
-                return False
-        return True
-
-    def _drain(self, running: dict[str, _Runner]) -> None:
-        """Pull every queued message off every live pipe."""
+    def _collect(self, running: dict[str, Attempt],
+                 pending: list[VariantSpec]) -> None:
+        """Pull every queued message off every worker pipe; reap the
+        workers that exited, retrying a crash once."""
         for vid in sorted(running):
-            runner = running[vid]
-            while not runner.terminal and runner.conn.poll():
-                try:
-                    kind, body = runner.conn.recv()
-                except (EOFError, OSError):
-                    break
-                self._on_message(runner, kind, body)
+            attempt = running[vid]
+            messages, exited = attempt.receive()
+            for kind, body in messages:
+                self._on_message(vid, attempt, kind, body)
+            if not exited:
+                continue
+            del running[vid]
+            attempt.reap()
+            if vid in self.outcomes:
+                continue
+            # Exit with no terminal message on the pipe: a crash.
+            code = attempt.exitcode
+            self._trace_variant(vid, attempt, "crashed")
+            if vid not in self._retried:
+                self._retried.add(vid)
+                self.views[vid].reset()
+                logger.warning(
+                    "race variant %s crashed (exit %s); retrying once",
+                    vid, code)
+                pending.insert(0, self._specs[vid])
+                continue
+            self.outcomes[vid] = VariantOutcome(
+                spec=self._specs[vid], status="crashed", retried=True,
+                error=f"worker exited with status {code} "
+                      f"(crash code {CRASH_EXIT_CODE} means a kill)",
+                wall_seconds=time.perf_counter() - attempt.started,
+            )
+            logger.error("race variant %s crashed twice (exit %s); "
+                         "out of the race", vid, code)
 
-    def _trace_variant(self, runner: _Runner, outcome: str) -> None:
+    def _trace_variant(self, vid: str, attempt: Attempt,
+                       outcome: str) -> None:
         """Close the parent-side span over one worker's lifetime."""
         if self.merger is not None:
             self.merger.add_span(
-                f"variant {runner.spec.variant_id}", runner.span_start,
-                time.perf_counter(), outcome=outcome,
-                retry=runner.was_retry)
+                f"variant {vid}", attempt.started, time.perf_counter(),
+                outcome=outcome, retry=vid in self._retried)
 
-    def _on_message(self, runner: _Runner, kind: str,
+    def _on_message(self, vid: str, attempt: Attempt, kind: str,
                     body: dict[str, Any]) -> None:
-        vid = runner.spec.variant_id
         view = self.views[vid]
         if kind == "checkpoint":
             view.record_checkpoint(body["iterations"], body["series"])
@@ -398,63 +369,29 @@ class RaceController:
             view.record_finish(body.get("stop_reason", ""),
                                body.get("tail", {}).get("iterations"),
                                body.get("tail", {}).get("series"))
-            runner.terminal = True
             self.outcomes[vid] = VariantOutcome(
-                spec=runner.spec, status="finished",
+                spec=self._specs[vid], status="finished",
                 iterations=int(body.get("iterations", 0)),
                 stop_reason=body.get("stop_reason", ""),
                 hpwl_upper=body.get("hpwl_upper"),
                 placement=body.get("placement"),
                 metrics=body.get("metrics"),
-                retried=runner.was_retry,
-                wall_seconds=time.monotonic() - runner.started_at,
+                retried=vid in self._retried,
+                wall_seconds=time.perf_counter() - attempt.started,
             )
-            self._trace_variant(runner, "finished")
+            self._trace_variant(vid, attempt, "finished")
         elif kind == "error":
-            runner.terminal = True
             self.outcomes[vid] = VariantOutcome(
-                spec=runner.spec, status="error",
+                spec=self._specs[vid], status="error",
                 error=f"{body.get('type')}: {body.get('message')}",
-                wall_seconds=time.monotonic() - runner.started_at,
+                wall_seconds=time.perf_counter() - attempt.started,
             )
-            self._trace_variant(runner, "error")
+            self._trace_variant(vid, attempt, "error")
             logger.warning("race variant %s errored: %s", vid,
                            self.outcomes[vid].error)
 
-    def _reap(self, running: dict[str, _Runner],
-              pending: list[VariantSpec], retried: set[str]) -> None:
-        """Collect exited workers; classify crashes, retry once."""
-        for vid in sorted(running):
-            runner = running[vid]
-            if runner.process.is_alive():
-                continue
-            self._drain({vid: runner})  # racing final messages
-            del running[vid]
-            runner.close()
-            if runner.terminal or vid in self.outcomes:
-                continue
-            # Abnormal exit without a terminal message: a crash.
-            code = runner.process.exitcode
-            self._trace_variant(runner, "crashed")
-            if vid not in retried:
-                retried.add(vid)
-                self.views[vid].reset()
-                logger.warning(
-                    "race variant %s crashed (exit %s); retrying once",
-                    vid, code)
-                pending.insert(0, runner.spec)
-                continue
-            self.outcomes[vid] = VariantOutcome(
-                spec=runner.spec, status="crashed", retried=True,
-                error=f"worker exited with status {code} "
-                      f"(crash code {CRASH_EXIT_CODE} means a kill)",
-                wall_seconds=time.monotonic() - runner.started_at,
-            )
-            logger.error("race variant %s crashed twice (exit %s); "
-                         "out of the race", vid, code)
-
     def _apply_kill(self, decision: KillDecision,
-                    running: dict[str, _Runner],
+                    running: dict[str, Attempt],
                     pending: list[VariantSpec],
                     killed: set[str]) -> None:
         vid = decision.variant_id
@@ -465,11 +402,11 @@ class RaceController:
                                     rule=decision.rule,
                                     round=decision.round)
         spec = self._specs[vid]
-        runner = running.pop(vid, None)
-        if runner is not None:
-            runner.close()
-            self._trace_variant(runner, "killed")
-            wall = time.monotonic() - runner.started_at
+        attempt = running.pop(vid, None)
+        if attempt is not None:
+            attempt.reap()
+            self._trace_variant(vid, attempt, "killed")
+            wall = time.perf_counter() - attempt.started
         else:
             # A result raced in ahead of the verdict; the verdict is
             # ground truth, the result is dropped.

@@ -1,9 +1,9 @@
 """The race worker: one variant's global placement in one process.
 
-Mirrors the :mod:`repro.serve` worker protocol (crash isolation, hard
-``os._exit`` on injected crashes, deterministic errors over the pipe)
-but streams *checkpoint series* instead of progress events, because the
-parent-side arbiter consumes numbers, not prose:
+Follows the crash contract of :mod:`repro.serve.attempt` (crash
+isolation, hard exit on injected crashes, deterministic errors over
+the pipe) but streams *checkpoint series* instead of progress events,
+because the parent-side arbiter consumes numbers, not prose:
 
 * ``("checkpoint", {...})`` — incremental per-iteration records since
   the previous checkpoint (every ``checkpoint_every`` iterations),
@@ -24,26 +24,21 @@ either way because plan construction is deterministic.
 from __future__ import annotations
 
 import contextlib
-import logging
-import os
 from typing import Any
 
 from .. import telemetry
 from ..core import ComPLxConfig, ComPLxPlacer
 from ..core.history import RunHistory
-from ..faults import SimulatedCrash
 from ..models import hpwl
 from ..models.assembly import AssemblyPlan, PLANNABLE_MODELS
 from ..netlist import Netlist
-from ..serve.worker import (CRASH_EXIT_CODE, _install_injected_faults,
-                            build_netlist)
+from ..serve.attempt import worker_main
+from ..serve.worker import build_netlist
 from .arbiter import TRACKED_SERIES
 from .portfolio import VariantSpec
 
 __all__ = ["clear_shared", "race_worker_entry", "run_variant",
            "share_prebuilt"]
-
-logger = logging.getLogger(__name__)
 
 # Parent-published shared inputs, inherited by fork children.  Keyed so
 # a stale publication for a different netlist is never trusted.
@@ -157,20 +152,6 @@ def run_variant(payload: dict[str, Any], conn) -> dict[str, Any]:
 
 def race_worker_entry(payload: dict[str, Any], conn) -> None:
     """Process target: run one variant, stream messages, exit."""
-    try:
-        _install_injected_faults(payload.get("_inject"))
-        body = run_variant(payload, conn)
-        conn.send(("result", body))
-        conn.close()
-    except SimulatedCrash:
-        # Mirror a SIGKILL: no cleanup, no goodbye on the pipe.
-        os._exit(CRASH_EXIT_CODE)
-    except Exception as exc:  # deterministic failure -> report, no retry
-        logger.exception("race variant %s failed in worker",
-                         payload.get("variant", {}).get("variant_id"))
-        try:
-            conn.send(("error", {"type": type(exc).__name__,
-                                 "message": str(exc)}))
-            conn.close()
-        except OSError:
-            pass
+    worker_main(payload, conn, lambda: run_variant(payload, conn),
+                "race variant "
+                f"{payload.get('variant', {}).get('variant_id')}")

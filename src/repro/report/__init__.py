@@ -28,6 +28,7 @@ from .render import (
     record_stage_totals,
     render_html,
     render_markdown,
+    run_fingerprints,
     write_report,
 )
 
@@ -37,5 +38,6 @@ __all__ = [
     "record_stage_totals",
     "render_html",
     "render_markdown",
+    "run_fingerprints",
     "write_report",
 ]

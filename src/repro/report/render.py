@@ -14,6 +14,8 @@ fixed-seed run regenerates a byte-identical report.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import html
 import json
 from dataclasses import dataclass, field
@@ -36,6 +38,7 @@ __all__ = [
     "record_stage_totals",
     "render_html",
     "render_markdown",
+    "run_fingerprints",
     "write_report",
 ]
 
@@ -64,6 +67,28 @@ def record_stage_totals(registry: MetricsRegistry, tracer: Tracer) -> None:
     for name, stats in sorted(tracer.aggregate().items()):
         registry.gauge(f"stage_{name}_total_s").set(stats.total_s)
         registry.gauge(f"stage_{name}_count").set(float(stats.count))
+
+
+def run_fingerprints(netlist, config) -> dict[str, str]:
+    """Short stable digests identifying the design and the config.
+
+    ``config`` may be None (a placer without one); the result then
+    carries only ``netlist_fingerprint``.
+    """
+    digest = hashlib.sha256()
+    digest.update(str((netlist.num_cells, netlist.num_nets)).encode())
+    for array in (netlist.areas, netlist.widths, netlist.heights):
+        digest.update(array.tobytes())
+    out = {"netlist_fingerprint": digest.hexdigest()[:16]}
+    if config is not None:
+        try:
+            doc = dataclasses.asdict(config)
+        except TypeError:
+            doc = {"repr": repr(config)}
+        encoded = json.dumps(doc, sort_keys=True, default=str).encode()
+        out["config_fingerprint"] = \
+            hashlib.sha256(encoded).hexdigest()[:16]
+    return out
 
 
 @dataclass

@@ -16,7 +16,7 @@ from .jobs import JobRecord, JobSpec, JobState, JobValidationError
 from .queue import BoundedPriorityQueue, QueueFull
 from .runtime import JobRuntime, ServiceStats, ServiceUnavailable
 from .tenants import RateLimited, TenantTable
-from .worker import CRASH_EXIT_CODE
+from .attempt import CRASH_EXIT_CODE
 
 __all__ = [
     "BoundedPriorityQueue",

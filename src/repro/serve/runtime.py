@@ -38,6 +38,7 @@ from ..telemetry import (
     TraceContext,
     TraceMerger,
 )
+from .attempt import Attempt
 from .config import DegradationTier, ServeConfig
 from .jobs import JobRecord, JobSpec, JobState, JobValidationError
 from .queue import BACKGROUND_PRIORITY, BoundedPriorityQueue, QueueFull
@@ -47,6 +48,10 @@ from .worker import worker_entry
 __all__ = ["JobRuntime", "ServiceStats", "ServiceUnavailable"]
 
 logger = logging.getLogger(__name__)
+
+#: How long a monitor waits for its worker's next message before it
+#: checks for cancellation and the hard-kill deadline again.
+_POLL_SECONDS = 0.05
 
 
 class ServiceUnavailable(Exception):
@@ -447,10 +452,10 @@ class JobRuntime:
                     self._background_running -= 1
             self._slots.release()
 
-    def _spawn_attempt(self, record: JobRecord, tier: DegradationTier,
-                       attempt: int = 1,
-                       merger: TraceMerger | None = None):
-        """Fire parent-side fault sites and start one worker process."""
+    def _attempt_payload(self, record: JobRecord, tier: DegradationTier,
+                         attempt: int,
+                         merger: TraceMerger | None) -> dict[str, Any]:
+        """One attempt's payload, with any parent-side fault armed."""
         spec = record.spec
         payload: dict[str, Any] = {
             "spec": dict(spec.__dict__),
@@ -478,13 +483,7 @@ class JobRuntime:
                     "mode": "hang",
                     "seconds": hang.seed if hang.seed > 0 else 3600.0,
                 }
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=worker_entry, args=(payload, child_conn),
-            name=f"serve-worker-{spec.job_id}", daemon=True)
-        process.start()
-        child_conn.close()
-        return process, parent_conn
+        return payload
 
     def _hard_kill_seconds(self, spec: JobSpec) -> float:
         if spec.deadline_seconds is not None:
@@ -510,16 +509,16 @@ class JobRuntime:
         record.start_attempt(tier.name, time.monotonic())
         record.add_event({"stage": "attempt_started", "attempt": attempt,
                           "tier": tier.name})
-        process, conn = self._spawn_attempt(record, tier, attempt, merger)
+        worker = Attempt(self._ctx, worker_entry,
+                         self._attempt_payload(record, tier, attempt,
+                                               merger),
+                         name=f"serve-worker-{spec.job_id}")
         kill_after = self._hard_kill_seconds(spec)
-        attempt_start = time.monotonic()
-        span_start = time.perf_counter()
-        result: dict[str, Any] | None = None
-        error: dict[str, Any] | None = None
+        end: tuple[str, Any] | None = None
         try:
             while True:
                 if record.cancel_requested:
-                    self._reap(process, kill=False)
+                    worker.reap()
                     record.transition(JobState.CANCELLED,
                                       now=time.monotonic(),
                                       event={"stage": "cancelled",
@@ -528,50 +527,22 @@ class JobRuntime:
                     self.stats.inc("cancelled")
                     logger.info("%s cancelled while running", spec.job_id)
                     self._trace_attempt(merger, attempt, tier,
-                                        span_start, "cancelled")
+                                        worker.started, "cancelled")
                     return "cancelled"
-                got = False
-                try:
-                    if conn.poll(0.05):
-                        kind, body = conn.recv()
-                        got = True
-                        if kind == "event":
-                            record.add_event(body)
-                        elif kind == "telemetry":
-                            if merger is not None:
-                                merger.ingest(body)
-                                self.fleet.observe_frame(body)
-                        elif kind == "result":
-                            result = body
-                        else:
-                            error = body
-                except (EOFError, OSError):
-                    pass  # worker died with the pipe open -> crash path
-                if result is not None or error is not None:
-                    process.join(timeout=10.0)
+                messages, exited = worker.receive(_POLL_SECONDS)
+                for kind, body in messages:
+                    if kind == "event":
+                        record.add_event(body)
+                    elif kind == "telemetry":
+                        if merger is not None:
+                            merger.ingest(body)
+                            self.fleet.observe_frame(body)
+                    else:
+                        end = (kind, body)
+                if end is not None or exited:
                     break
-                if not got and not process.is_alive():
-                    process.join(timeout=1.0)
-                    # Drain messages the worker sent just before exiting
-                    # so a clean finish is never misread as a crash.
-                    try:
-                        while conn.poll(0):
-                            kind, body = conn.recv()
-                            if kind == "event":
-                                record.add_event(body)
-                            elif kind == "telemetry":
-                                if merger is not None:
-                                    merger.ingest(body)
-                                    self.fleet.observe_frame(body)
-                            elif kind == "result":
-                                result = body
-                            else:
-                                error = body
-                    except (EOFError, OSError):
-                        pass
-                    break
-                if time.monotonic() - attempt_start > kill_after:
-                    self._reap(process, kill=True)
+                if time.perf_counter() - worker.started > kill_after:
+                    worker.reap(kill=True)
                     self.stats.inc("timeouts")
                     record.record_recovery({
                         "action": "hard_kill", "attempt": attempt,
@@ -583,18 +554,20 @@ class JobRuntime:
                     logger.warning("%s attempt %d hard-killed after %.1fs",
                                    spec.job_id, attempt, kill_after)
                     self._trace_attempt(merger, attempt, tier,
-                                        span_start, "hard_killed")
+                                        worker.started, "hard_killed")
                     return "crashed"
         finally:
-            conn.close()
+            # A worker that sent its last message is exiting on its own.
+            worker.reap(grace=10.0 if end is not None else 0.0)
 
-        if result is not None:
-            self._trace_attempt(merger, attempt, tier, span_start,
+        if end is not None and end[0] == "result":
+            self._trace_attempt(merger, attempt, tier, worker.started,
                                 "succeeded")
-            self._finish_success(record, result, merger)
+            self._finish_success(record, end[1], merger)
             return "succeeded"
-        if error is not None:
-            self._trace_attempt(merger, attempt, tier, span_start,
+        if end is not None:
+            error = end[1]
+            self._trace_attempt(merger, attempt, tier, worker.started,
                                 "failed")
             record.transition(
                 JobState.FAILED, now=time.monotonic(),
@@ -606,30 +579,18 @@ class JobRuntime:
             logger.warning("%s failed deterministically: %s",
                            spec.job_id, record.error)
             return "failed"
-        # Abnormal exit with nothing on the pipe: a crash.
-        self._trace_attempt(merger, attempt, tier, span_start, "crashed")
+        # Exit with no terminal message on the pipe: a crash.
+        self._trace_attempt(merger, attempt, tier, worker.started, "crashed")
         self.stats.inc("crashes")
         record.record_recovery({
             "action": "crash_detected", "attempt": attempt,
-            "exitcode": process.exitcode,
+            "exitcode": worker.exitcode,
         })
         record.add_event({"stage": "worker_crashed", "attempt": attempt,
-                          "exitcode": process.exitcode})
+                          "exitcode": worker.exitcode})
         logger.warning("%s attempt %d: worker exited abnormally (%s)",
-                       spec.job_id, attempt, process.exitcode)
+                       spec.job_id, attempt, worker.exitcode)
         return "crashed"
-
-    def _reap(self, process, kill: bool) -> None:
-        """Terminate (or kill) a worker and wait for the OS to reap it."""
-        if process.is_alive():
-            if kill:
-                process.kill()
-            else:
-                process.terminate()
-        process.join(timeout=10.0)
-        if process.is_alive():  # pragma: no cover - last resort
-            process.kill()
-            process.join(timeout=10.0)
 
     def _finish_success(self, record: JobRecord,
                         body: dict[str, Any],

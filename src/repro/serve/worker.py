@@ -11,44 +11,39 @@ single terminal message back over the pipe:
   recovery exhausted); the runtime does not retry these, because the
   same inputs would fail the same way.
 
-Crashes are deliberately *not* reported: an injected
-:class:`~repro.faults.SimulatedCrash` hard-exits the process with
-status 137, exactly like the OOM-killer would, and the parent's monitor
-classifies any abnormal exit as a crash and applies the retry policy.
-The ``serve.worker.*`` fault sites are fired by the *parent* at
-dispatch (see :mod:`repro.serve.runtime`); the payload's ``_inject``
-entry is how the armed fault reaches this process.
+Crashes, injected faults and the terminal messages follow the crash
+contract of :mod:`repro.serve.attempt`, whose :func:`worker_main`
+wraps :func:`run_job`.  The ``serve.worker.*`` fault sites are fired by
+the *parent* at dispatch (see :mod:`repro.serve.runtime`); the
+payload's ``_inject`` entry is how the armed fault reaches this
+process.
 """
 
 from __future__ import annotations
 
-import logging
 import os
-import time
 from typing import Any, Callable
 
 from .. import telemetry
-from ..cli import _fingerprints
 from ..core import ComPLxConfig, ComPLxPlacer
 from ..core.config import ResilienceConfig
+# Imported here, not in run_job, so a forked worker inherits it instead
+# of importing it on every job.
+from ..detailed import DetailedPlacer
 from ..diagnostics import diagnose
-from ..faults import FaultPlan, FaultSpec, SimulatedCrash, install
 from ..legalize import abacus_legalize, tetris_legalize
 from ..models import hpwl
 from ..netlist import Netlist, Placement
 from ..netlist.bookshelf import read_aux
 from ..projection.grid import DensityGrid, default_grid_shape
-from ..report import build_report, record_stage_totals, render_html
+from ..report import (build_report, record_stage_totals, render_html,
+                      run_fingerprints)
 from ..resilience import legalize_with_fallback
 from ..workloads import SyntheticSpec, generate, load_suite
+from .attempt import worker_main
 from .jobs import JobSpec
 
-__all__ = ["CRASH_EXIT_CODE", "build_netlist", "run_job", "worker_entry"]
-
-logger = logging.getLogger(__name__)
-
-#: Exit status of a simulated worker kill (mirrors 128 + SIGKILL).
-CRASH_EXIT_CODE = 137
+__all__ = ["build_netlist", "run_job", "worker_entry"]
 
 _LEGALIZERS = {"abacus": abacus_legalize, "tetris": tetris_legalize}
 
@@ -79,22 +74,6 @@ def build_netlist(workload: dict[str, Any],
         netlist, _ = read_aux(path)
         return netlist
     raise ValueError(f"unknown workload kind {kind!r}")
-
-
-def _install_injected_faults(inject: dict[str, Any] | None) -> None:
-    """Arm the in-worker plan for a parent-dispatched fault."""
-    if not inject:
-        return
-    if inject.get("mode") == "crash":
-        # Die between iterations via the existing loop.kill site; the
-        # SimulatedCrash is caught only by worker_entry's hard-exit.
-        install(FaultPlan((
-            FaultSpec("loop.kill", at=max(int(inject.get("at", 2)), 1)),
-        )))
-    elif inject.get("mode") == "hang":
-        # Stall before any placement work so the parent's hard-kill
-        # timeout is what reclaims the worker.
-        time.sleep(float(inject.get("seconds", 3600.0)))
 
 
 def _make_config(spec: JobSpec, tier: dict[str, Any]) -> ComPLxConfig:
@@ -170,8 +149,6 @@ def run_job(payload: dict[str, Any],
         emit({"stage": "legalized", "legalizer": used_legalizer})
         run_detailed = spec.detailed and not tier.get("skip_detailed")
         if run_detailed:
-            from ..detailed import DetailedPlacer
-
             final = DetailedPlacer(
                 netlist, legalizer=_LEGALIZERS.get(
                     used_legalizer, tetris_legalize),
@@ -182,7 +159,7 @@ def run_job(payload: dict[str, Any],
         registry.meta["netlist"] = netlist.name
         registry.meta["tenant"] = spec.tenant
         registry.meta["job_id"] = spec.job_id
-        registry.meta.update(_fingerprints(netlist, placer))
+        registry.meta.update(run_fingerprints(netlist, placer.config))
         record_stage_totals(registry, tracer)
 
         resilience_report = result.extras.get("resilience") or {}
@@ -226,27 +203,13 @@ def run_job(payload: dict[str, Any],
 
 def worker_entry(payload: dict[str, Any], conn) -> None:
     """Process target: run one attempt, stream messages, exit."""
-    try:
-        _install_injected_faults(payload.get("_inject"))
+    def emit(event: dict[str, Any]) -> None:
+        conn.send(("event", event))
 
-        def emit(event: dict[str, Any]) -> None:
-            conn.send(("event", event))
+    def ship(frame: dict[str, Any]) -> None:
+        conn.send(("telemetry", frame))
 
-        def ship(frame: dict[str, Any]) -> None:
-            conn.send(("telemetry", frame))
-
-        body = run_job(payload, emit, ship)
-        conn.send(("result", body))
-        conn.close()
-    except SimulatedCrash:
-        # Mirror a SIGKILL: no cleanup, no goodbye on the pipe.
-        os._exit(CRASH_EXIT_CODE)
-    except Exception as exc:  # deterministic failure -> report, no retry
-        logger.exception("job %s failed in worker",
-                         payload.get("spec", {}).get("job_id"))
-        try:
-            conn.send(("error", {"type": type(exc).__name__,
-                                 "message": str(exc)}))
-            conn.close()
-        except OSError:
-            pass
+    # ``run_job`` is resolved when the attempt runs, so a wrapper put on
+    # the module global after import (a profiler's, say) still runs.
+    worker_main(payload, conn, lambda: run_job(payload, emit, ship),
+                f"job {payload.get('spec', {}).get('job_id')}")

@@ -22,7 +22,7 @@ class TestSimPL:
     def test_runs_and_converges(self, small_design):
         result = simpl_place(small_design.netlist, max_iterations=40)
         assert result.iterations >= 2
-        pi = result.history.series("pi")
+        pi = result.metrics.series("pi").as_array()
         assert pi[-1] < pi[:3].max()
 
     def test_uses_simpl_schedule(self, small_design):
@@ -96,7 +96,7 @@ class TestFastPlace:
     def test_weight_ramp_linear(self, small_design):
         result = fastplace_place(small_design.netlist, max_iterations=10,
                                  stop_overflow_percent=0.0)
-        lam = result.history.series("lam")
+        lam = result.metrics.series("lam").as_array()
         increments = np.diff(lam)
         assert np.allclose(increments, increments[0], rtol=1e-6)
 
@@ -134,7 +134,7 @@ class TestNonlinear:
         result = nonlinear_place(small_design.netlist, max_outer=6,
                                  inner_iterations=10,
                                  stop_overflow_percent=0.0)
-        mu = result.history.series("lam")
+        mu = result.metrics.series("lam").as_array()
         assert np.all(np.diff(mu) > 0)
 
 

@@ -79,6 +79,38 @@ class TestPlacerCLI:
         assert code == 0
         assert "legal: True" in capsys.readouterr().out
 
+    def test_archived_fingerprints_match_a_serve_job(self, tmp_path,
+                                                      capsys):
+        """One design and one config give the CLI's archived run and a
+        serve job the same fingerprints."""
+        from repro.cli import main as cli_main
+        from repro.runs import RunRegistry
+        from repro.serve.jobs import JobSpec
+        from repro.serve.worker import run_job
+
+        gen_dir = str(tmp_path / "gen")
+        cli_main(["generate", "adaptec1_s", "--scale", "0.03",
+                  "--out", gen_dir])
+        runs = str(tmp_path / "runs")
+        code = cli_main(["place", f"{gen_dir}/adaptec1_s.aux",
+                         "--out", str(tmp_path / "p"), "--skip-detailed",
+                         "--run-dir", runs])
+        assert code == 0
+        registry = RunRegistry(runs)
+        [run_id] = registry.run_ids()
+        archived = registry.manifest(run_id)["meta"]
+
+        spec = JobSpec.from_payload(
+            {"name": "fp", "detailed": False,
+             "workload": {"kind": "aux", "path": "adaptec1_s.aux"}},
+            "j-fp")
+        body = run_job({"spec": dict(spec.__dict__), "tier": {},
+                        "aux_root": gen_dir}, lambda event: None)
+        meta = body["metrics"]["meta"]
+        for key in ("netlist_fingerprint", "config_fingerprint"):
+            assert len(archived[key]) == 16
+            assert meta[key] == archived[key], key
+
     def test_race_subcommand_dispatches(self, tmp_path, capsys):
         from repro.cli import main as cli_main
 

@@ -17,23 +17,23 @@ class TestRunInvariants:
 
     def test_weak_duality_every_iteration(self, placed_small):
         """Formula 7: Phi(lower) <= Phi(upper feasible) throughout."""
-        h = placed_small.history
-        lb = h.series("phi_lower")
-        ub = h.series("phi_upper")
+        metrics = placed_small.metrics
+        lb = metrics.series("phi_lower").as_array()
+        ub = metrics.series("phi_upper").as_array()
         assert np.all(lb <= ub + 1e-6)
 
     def test_pi_decreases_overall(self, placed_small):
-        pi = placed_small.history.series("pi")
+        pi = placed_small.metrics.series("pi").as_array()
         assert pi[-1] < 0.6 * pi[:3].max()
 
     def test_phi_lower_increases_overall(self, placed_small):
         """Formula 6: the minimized Lagrangian (hence Phi) grows as
         lambda grows."""
-        lb = placed_small.history.series("phi_lower")
+        lb = placed_small.metrics.series("phi_lower").as_array()
         assert lb[-1] > lb[0]
 
     def test_lambda_monotone(self, placed_small):
-        lam = placed_small.history.series("lam")
+        lam = placed_small.metrics.series("lam").as_array()
         assert np.all(np.diff(lam) >= -1e-12)
         assert lam[0] > 0
 
@@ -106,7 +106,7 @@ class TestConfigurationPaths:
                               pi_tol_fraction=0.0)
         placer = ComPLxPlacer(small_design.netlist, config)
         result = placer.place()
-        bins = result.history.series("grid_bins")
+        bins = result.metrics.series("grid_bins").as_array()
         assert bins[0] == 2
         assert bins[-1] > bins[0]
         assert np.all(np.diff(bins) >= 0)
@@ -116,7 +116,7 @@ class TestConfigurationPaths:
                               gap_tol=0.0)
         placer = ComPLxPlacer(small_design.netlist, config)
         result = placer.place()
-        bins = result.history.series("grid_bins")
+        bins = result.metrics.series("grid_bins").as_array()
         assert len(set(bins)) == 1
 
     def test_lse_model_runs(self, small_design):
@@ -124,7 +124,8 @@ class TestConfigurationPaths:
                               gap_tol=0.0, nlcg_max_iter=15)
         result = place(small_design.netlist, config)
         assert result.iterations == 4
-        assert np.isfinite(result.history.series("phi_lower")).all()
+        assert np.isfinite(
+            result.metrics.series("phi_lower").as_array()).all()
 
     @pytest.mark.parametrize("model", ["clique", "star", "hybrid"])
     def test_alternative_net_models(self, small_design, model):

@@ -234,7 +234,7 @@ class TestHistoryAndConfig:
         for k in range(5):
             h.append(self._record(k))
         assert len(h) == 5
-        assert list(h.series("iteration")) == [0, 1, 2, 3, 4]
+        assert h.to_metrics().series("lam").iterations == [0, 1, 2, 3, 4]
         assert h[2].pi == 48.0
         assert h.final_lambda == 0.1
         assert "5 iterations" in h.summary()
@@ -243,7 +243,7 @@ class TestHistoryAndConfig:
         h = RunHistory()
         h.append(self._record(1))
         path = str(tmp_path / "h.csv")
-        h.to_csv(path)
+        h.to_metrics().write_csv(path)
         lines = open(path).read().strip().splitlines()
         assert len(lines) == 2
         assert "phi_lower" in lines[0]

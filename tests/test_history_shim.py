@@ -1,6 +1,7 @@
-"""RunHistory is a compatibility shim over the telemetry registry: the
-deprecated accessors must warn and delegate, and the record list must
-stay authoritative through supervisor rollbacks."""
+"""RunHistory is a compatibility shim over the telemetry registry: what
+is left of it must stay silent, its registry view must be derived from
+the record list, and that list must stay authoritative through
+supervisor rollbacks."""
 
 from __future__ import annotations
 
@@ -28,30 +29,6 @@ def make_history(n=6):
 
 
 class TestDeprecatedAccessors:
-    def test_series_warns_and_delegates(self):
-        history = make_history()
-        with pytest.warns(DeprecationWarning, match="as_array"):
-            lam = history.series("lam")
-        assert np.array_equal(lam, history.to_metrics()
-                              .series("lam").as_array())
-
-    def test_iteration_series_warns_too(self):
-        history = make_history(4)
-        with pytest.warns(DeprecationWarning):
-            iterations = history.series("iteration")
-        assert list(iterations) == [0, 1, 2, 3]
-
-    def test_to_csv_warns_and_writes_every_field(self, tmp_path):
-        history = make_history()
-        path = tmp_path / "history.csv"
-        with pytest.warns(DeprecationWarning, match="write_csv"):
-            history.to_csv(str(path))
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 1 + len(history)
-        header = lines[0]
-        for name in SERIES_FIELDS:
-            assert name in header
-
     def test_supported_surface_stays_silent(self):
         history = make_history()
         with warnings.catch_warnings():
@@ -99,13 +76,3 @@ class TestRollbackSafety:
             assert np.isfinite(record.pi)
         # The derived registry (result.metrics) sees the spliced list.
         assert len(result.metrics.series("lam")) == len(history)
-
-    def test_deprecated_series_still_works_after_rollback(self, small_design):
-        with faults.injected("primal.nan@5"):
-            result = ComPLxPlacer(
-                small_design.netlist, resilient_config(seed=1)
-            ).place()
-        with pytest.warns(DeprecationWarning):
-            pi = result.history.series("pi")
-        assert pi.shape[0] == len(result.history)
-        assert np.all(np.isfinite(pi))

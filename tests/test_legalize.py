@@ -165,7 +165,7 @@ class TestVectorizedMatchesReference:
 
     @pytest.mark.parametrize("snap", [True, False])
     def test_tetris(self, snap):
-        from repro.legalize.tetris import _tetris_reference
+        from _reference_legalize import _tetris_reference
 
         for nl, seed in self._designs():
             p = nl.initial_placement(jitter=4.0, seed=seed)
@@ -176,7 +176,7 @@ class TestVectorizedMatchesReference:
 
     @pytest.mark.parametrize("snap", [True, False])
     def test_abacus(self, snap):
-        from repro.legalize.abacus import _abacus_reference
+        from _reference_legalize import _abacus_reference
 
         for nl, seed in self._designs():
             p = nl.initial_placement(jitter=4.0, seed=seed)

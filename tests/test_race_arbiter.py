@@ -15,6 +15,7 @@ from repro.race.arbiter import (
     RaceArbiter,
     VariantView,
     pick_winner,
+    round_settled,
 )
 
 # ----------------------------------------------------------------------
@@ -239,12 +240,16 @@ class TestPickWinner:
 # ----------------------------------------------------------------------
 
 
-def run_race(arbiter, recordings, step_order):
+def run_race(arbiter, recordings, step_order, steps_per_poll=1):
     """A controller-faithful simulation over recorded trajectories.
 
     ``recordings`` maps vid -> (series dict, finish reason or None);
-    ``step_order`` fixes the per-step streaming order, modelling worker
-    scheduling.  Returns (decisions, winner, final views).
+    ``step_order`` fixes the per-poll streaming order, modelling worker
+    scheduling, and ``steps_per_poll`` how many records each variant
+    delivers between two judgements (a large value delivers whole
+    recordings at once).  Rounds are judged by the controller's own
+    rule, :func:`round_settled`.  Returns (decisions, winner, final
+    views).
     """
     views = {vid: VariantView(variant_id=vid)
              for vid in recordings}
@@ -256,13 +261,6 @@ def run_race(arbiter, recordings, step_order):
     def in_race():
         return {vid: v for vid, v in views.items() if vid not in killed}
 
-    def settled(r):
-        live = in_race()
-        unfinished = [v for v in live.values() if not v.finished]
-        if not unfinished:
-            return False
-        return all(v.checkpoints >= r + 1 for v in unfinished)
-
     for _ in range(10_000):
         live = in_race()
         if all(v.finished for v in live.values()):
@@ -271,15 +269,14 @@ def run_race(arbiter, recordings, step_order):
             view, (series, finish) = views[vid], recordings[vid]
             if vid in killed or view.finished:
                 continue
-            i = pos[vid]
-            if i >= len(series["lam"]):
-                continue
-            view.record_checkpoint([i], {k: [series[k][i]]
-                                         for k in TRACKED_SERIES})
-            pos[vid] += 1
-            if pos[vid] == len(series["lam"]) and finish is not None:
+            stop = min(pos[vid] + steps_per_poll, len(series["lam"]))
+            for i in range(pos[vid], stop):
+                view.record_checkpoint([i], {k: [series[k][i]]
+                                             for k in TRACKED_SERIES})
+            pos[vid] = stop
+            if stop == len(series["lam"]) and finish is not None:
                 view.record_finish(finish)
-        while settled(round_no + 1):
+        while round_settled(round_no + 1, in_race()):
             round_no += 1
             for decision in arbiter.decide(round_no, in_race()):
                 killed.add(decision.variant_id)
@@ -335,6 +332,25 @@ class TestReplayDeterminism:
         assert [d.to_json() for d in re_decisions] == \
             [d.to_json() for d in decisions]
         assert re_winner == winner
+
+    def test_delivery_granularity_does_not_change_decisions(self):
+        """Every variant finishes, the loser too, and its results may
+        arrive in the same poll as the rounds that judge it: the rounds
+        are still judged, so one step per poll, five per poll and all
+        at once give the same kills and winner."""
+        recordings = dict(self.RECORDINGS)
+        recordings["loser"] = (capped_series(16), "max_iterations")
+        order = ["h1", "loser", "h2"]
+        results = [run_race(RaceArbiter(), recordings, order,
+                            steps_per_poll=steps)
+                   for steps in (1, 5, 10_000)]
+        decisions, winner, _ = results[0]
+        assert [(d.variant_id, d.rule, d.round) for d in decisions] == \
+            [("loser", "doctor:lambda-cap-saturation", 12)]
+        for other_decisions, other_winner, _ in results[1:]:
+            assert [d.to_json() for d in other_decisions] == \
+                [d.to_json() for d in decisions]
+            assert other_winner == winner
 
     def test_decisions_are_json_serializable(self):
         decision = KillDecision("v", "stalled-gap", 4, 7, "why")

@@ -85,6 +85,7 @@ class TestRace:
             rerun.upper.y)
         assert winner.stop_reason == rerun.history.stop_reason
 
+    @pytest.mark.chaos
     def test_crash_is_retried_once_and_recovers(self, netlist):
         portfolio = [VariantSpec("base", overrides=dict(HONEST))]
         controller = RaceController(
@@ -100,6 +101,7 @@ class TestRace:
         assert outcome.retried is True
         assert result.winner == "base"
 
+    @pytest.mark.chaos
     def test_second_crash_is_terminal(self, netlist):
         portfolio = [VariantSpec("base", overrides=dict(HONEST))]
         controller = RaceController(

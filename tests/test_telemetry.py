@@ -345,12 +345,6 @@ class TestPlacerIntegration:
     def test_trajectory_summary_empty_registry(self):
         assert trajectory_summary(MetricsRegistry()) == {}
 
-    def test_deprecated_history_series_still_works(self, placed_small):
-        with pytest.warns(DeprecationWarning, match="series"):
-            pi = placed_small.history.series("pi")
-        np.testing.assert_allclose(
-            pi, placed_small.metrics.series("pi").as_array())
-
     def test_traced_run_records_stage_spans(self, small_design):
         from repro.core import ComPLxConfig, ComPLxPlacer
 
