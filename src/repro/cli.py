@@ -356,8 +356,8 @@ def main(argv: list[str] | None = None) -> int:
         "serve", help="run the placement job service "
                       "(python -m repro.serve for the full option set)")
     sub.add_parser(
-        "race", help="race a config portfolio with doctor-driven kills "
-                     "(python -m repro.race for the full option set)")
+        "race", help="race a config portfolio, each variant to its own "
+                     "stop (python -m repro.race for the full option set)")
 
     args = parser.parse_args(argv)
     if args.verbose:

@@ -53,7 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "ComPLxPlacer",
     "GlobalPlacementResult",
-    "HistoryObserver",
     "IterationCallback",
     "place",
 ]
@@ -62,12 +61,6 @@ logger = logging.getLogger(__name__)
 
 #: Observer invoked after every iteration: (iteration, lower, upper).
 IterationCallback = Callable[[int, Placement, Placement], None]
-
-#: Richer observer invoked after every iteration with the full history
-#: (the record for the current iteration is already appended).  Used by
-#: the racing runtime to stream checkpoint series without re-deriving
-#: them from placements.
-HistoryObserver = Callable[[int, RunHistory], None]
 
 
 @dataclass
@@ -178,10 +171,6 @@ class ComPLxPlacer:
         self.supervisor: "Supervisor | None" = None
         #: Per-run iteration observer; bound by :meth:`place`.
         self.callback: IterationCallback | None = None
-        #: Persistent history observer (survives across :meth:`place`
-        #: calls; set directly).  Invoked after ``callback`` with the
-        #: history including the current iteration's record.
-        self.observer: HistoryObserver | None = None
         self._last_cg_iterations = 0
         self._plan: AssemblyPlan | None = None
 
@@ -535,8 +524,6 @@ class ComPLxPlacer:
         sp.annotate("phi_upper", phi_ub)
         if self.callback is not None:
             self.callback(k, st.lower, st.upper)
-        if self.observer is not None:
-            self.observer(k, st.history)
         logger.debug(
             "iter %d: bins=%d Phi_lb=%.4g Phi_ub=%.4g Pi=%.4g "
             "lambda=%.4g ovf=%.1f%%",

@@ -1,34 +1,24 @@
-"""Portfolio racing: run config/seed variants concurrently, early-kill
-losers on convergence-doctor evidence, auto-tune, promote the winner.
-
-The subsystem turns the PR 5 flight recorder from post-mortem
-diagnostics into live control (ROADMAP item 5):
+"""Portfolio racing: run config/seed variants concurrently, each to its
+own stop, and promote the finished variant with the lowest feasible
+cost.
 
 * :mod:`repro.race.portfolio` — expand a base config into variants
   (seeds, Coloquinte-style effort presets, named knob overrides),
 * :mod:`repro.race.worker` — one variant per crash-isolated process,
-  streaming checkpoint series over a pipe, sharing one prebuilt
-  :class:`~repro.models.assembly.AssemblyPlan` across fork children,
-* :mod:`repro.race.arbiter` — deterministic kill decisions: a pure
-  function of the observed per-variant series prefixes, so a race
-  replays identically regardless of scheduling or poll jitter,
-* :mod:`repro.race.tuner` — map doctor suggested-knob findings to
-  config deltas and re-queue tuned variants within a budget,
-* :mod:`repro.race.controller` — the race executor/poll loop,
+  sharing one prebuilt :class:`~repro.models.assembly.AssemblyPlan`
+  across fork children,
+* :mod:`repro.race.controller` — the race loop and the deterministic
+  winner rule,
 * :mod:`repro.race.promotion` — land the full portfolio in the
   :mod:`repro.runs` registry with a ``diff_runs``-based justification.
 """
 
-from .arbiter import KillDecision, RaceArbiter, VariantView, pick_winner
-from .controller import RaceController, RaceResult, VariantOutcome
+from .controller import (RaceController, RaceResult, VariantOutcome,
+                         VariantView, pick_winner)
 from .portfolio import VariantSpec, build_portfolio
 from .promotion import promote
-from .tuner import AutoTuner
 
 __all__ = [
-    "AutoTuner",
-    "KillDecision",
-    "RaceArbiter",
     "RaceController",
     "RaceResult",
     "VariantOutcome",

@@ -14,19 +14,17 @@ import json
 import logging
 import sys
 
-from .arbiter import RaceArbiter
 from .controller import RaceController
 from .portfolio import build_portfolio
 from .promotion import promote
-from .tuner import AutoTuner
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.race",
         description="portfolio racing: run config variants concurrently, "
-                    "early-kill losers on doctor evidence, promote the "
-                    "winner",
+                    "each to its own stop, and promote the one with the "
+                    "lowest feasible cost",
     )
     workload = parser.add_mutually_exclusive_group()
     workload.add_argument("--cells", type=int, default=200,
@@ -47,12 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="do not race the unmodified base config")
     parser.add_argument("--max-workers", type=int, default=None,
                         help="concurrent variant processes")
-    parser.add_argument("--checkpoint-every", type=int, default=1,
-                        help="iterations per streamed checkpoint")
-    parser.add_argument("--tune-budget", type=int, default=2,
-                        help="max tuned re-entries per race")
-    parser.add_argument("--grace", type=int, default=3,
-                        help="checkpoint rounds before kills may fire")
     parser.add_argument("--registry-root", default="race-runs",
                         help="run-registry root for winner promotion")
     parser.add_argument("--no-promote", action="store_true",
@@ -116,9 +108,6 @@ def main(argv: list[str] | None = None) -> int:
     controller = RaceController(
         portfolio,
         workload=workload,
-        arbiter=RaceArbiter(grace_checkpoints=args.grace),
-        tuner=AutoTuner(budget=args.tune_budget),
-        checkpoint_every=args.checkpoint_every,
         max_workers=args.max_workers,
         trace=args.trace,
     )
@@ -140,9 +129,7 @@ def main(argv: list[str] | None = None) -> int:
                 if outcome.hpwl_upper is not None else ""
             print(f"{mark} {vid:<16} {outcome.status:<9} "
                   f"iters={outcome.iterations:<4}{hpwl}  {detail}")
-        print(f"rounds={result.rounds} kills={len(result.decisions)} "
-              f"tuned={','.join(result.tuned) or 'none'} "
-              f"wall={result.wall_seconds:.2f}s")
+        print(f"rounds={result.rounds} wall={result.wall_seconds:.2f}s")
     return 0 if result.winner else 1
 
 

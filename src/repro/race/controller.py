@@ -1,27 +1,19 @@
-"""The race controller: run a portfolio concurrently, arbitrate, tune.
+"""The race controller: run a portfolio concurrently, pick the winner.
 
-One single-threaded poll loop owns all state — each variant runs as an
-:class:`~repro.serve.attempt.Attempt` under the crash contract of
-:mod:`repro.serve.attempt`, and the worker pipes are drained with
+Every variant runs as an :class:`~repro.serve.attempt.Attempt` under
+the crash contract of :mod:`repro.serve.attempt`, to its own stop: the
+Formula 7 duality gap, the Π criterion, a plateau, its
+``gap_tolerance`` or its iteration budget.  One single-threaded loop
+owns all state and drains the worker pipes with
 :func:`multiprocessing.connection.wait`, so there are no threads and no
-locks.  The loop enforces the *round barrier* the arbiter's replay
-guarantee rests on (:func:`~repro.race.arbiter.round_settled`):
-checkpoint round ``r`` is evaluated once every variant still in the
-race has either streamed checkpoint ``r + 1`` or finished, whether or
-not any worker still runs.  At that point the data alone proves whether
-a variant was still mid-flight at checkpoint ``r``, so the arbiter's
-verdicts are independent of scheduling, poll jitter, and how fast
-results drain from the pipes.
+locks.  Crashed workers get exactly one retry; deterministic errors are
+terminal.
 
-Kill decisions are applied in the arbiter's deterministic order; a
-variant that finished after the round that kills it is *still*
-recorded as killed (its result is dropped), because the verdict — not
-the message race — is the ground truth.  Crashed workers get exactly
-one retry (their trajectory is deterministic, so the rerun re-streams
-identical series); deterministic errors are terminal.
-
-Wall-clock times appear in :class:`RaceResult` for reporting only —
-they never feed a decision.
+Each variant is a deterministic function of its config, the netlist
+and its seed, so the winner — the finished variant with the lowest
+final feasible cost, ties broken by variant id (:func:`pick_winner`) —
+is too: a race repeats whatever the scheduling.  Wall-clock times
+appear in :class:`RaceResult` for reporting only.
 """
 
 from __future__ import annotations
@@ -32,7 +24,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
-from typing import Any
+from typing import Any, Mapping
 
 from ..core import ComPLxConfig
 from ..models.assembly import PLANNABLE_MODELS, AssemblyPlan
@@ -40,13 +32,12 @@ from ..netlist import Netlist
 from ..serve.attempt import CRASH_EXIT_CODE, Attempt
 from ..serve.worker import build_netlist
 from ..telemetry import TraceContext, TraceMerger
-from .arbiter import (KillDecision, RaceArbiter, VariantView, pick_winner,
-                      round_settled)
 from .portfolio import VariantSpec
-from .tuner import AutoTuner
-from .worker import clear_shared, race_worker_entry, share_prebuilt
+from .worker import (TRACKED_SERIES, clear_shared, race_worker_entry,
+                     share_prebuilt)
 
-__all__ = ["RaceController", "RaceResult", "VariantOutcome"]
+__all__ = ["RaceController", "RaceResult", "VariantOutcome", "VariantView",
+           "pick_winner"]
 
 logger = logging.getLogger(__name__)
 
@@ -54,12 +45,61 @@ _POLL_SECONDS = 0.05
 
 
 @dataclass
+class VariantView:
+    """One variant's per-iteration series, filled once from its result."""
+
+    variant_id: str
+    iterations: list[int] = field(default_factory=list)
+    series: dict[str, list[float]] = field(
+        default_factory=lambda: {name: [] for name in TRACKED_SERIES})
+    finished: bool = False
+    stop_reason: str = ""
+    final_phi_upper: float | None = None
+
+    def record_finish(self, stop_reason: str, iterations: list[int],
+                      series: Mapping[str, list[float]]) -> None:
+        """Fold the finished run's series into the view."""
+        if any(b <= a for a, b in zip(iterations, iterations[1:])):
+            raise ValueError(
+                f"{self.variant_id}: non-monotonic iteration series")
+        for name in TRACKED_SERIES:
+            values = series.get(name, ())
+            if len(values) != len(iterations):
+                raise ValueError(
+                    f"{self.variant_id}: series {name!r} has "
+                    f"{len(values)} values for {len(iterations)} "
+                    "iterations")
+            self.series[name] = [float(v) for v in values]
+        self.iterations = [int(i) for i in iterations]
+        self.finished = True
+        self.stop_reason = stop_reason
+        if self.series["phi_upper"]:
+            self.final_phi_upper = self.series["phi_upper"][-1]
+
+
+def pick_winner(views: Mapping[str, VariantView]) -> str | None:
+    """The finished variant with the lowest final feasible cost.
+
+    Ties break lexicographically on variant id, so the winner is a pure
+    function of the recorded series.
+    """
+    best: tuple[float, str] | None = None
+    for vid in sorted(views):
+        view = views[vid]
+        if not view.finished or view.final_phi_upper is None:
+            continue
+        key = (view.final_phi_upper, vid)
+        if best is None or key < best:
+            best = key
+    return best[1] if best is not None else None
+
+
+@dataclass
 class VariantOutcome:
     """Terminal record of one variant's race."""
 
     spec: VariantSpec
-    status: str                     # finished | killed | crashed | error
-    kill: KillDecision | None = None
+    status: str                     # finished | crashed | error
     iterations: int = 0
     stop_reason: str = ""
     hpwl_upper: float | None = None
@@ -67,13 +107,11 @@ class VariantOutcome:
     metrics: dict[str, Any] | None = None
     error: str | None = None
     retried: bool = False
-    wall_seconds: float = 0.0       # reporting only, never decisions
+    wall_seconds: float = 0.0       # reporting only
 
     def to_json(self) -> dict[str, Any]:
         doc: dict[str, Any] = {
             "variant_id": self.spec.variant_id,
-            "origin": self.spec.origin,
-            "parent": self.spec.parent,
             "effort": self.spec.effort,
             "overrides": dict(self.spec.overrides),
             "status": self.status,
@@ -83,8 +121,6 @@ class VariantOutcome:
             "retried": self.retried,
             "wall_seconds": self.wall_seconds,
         }
-        if self.kill is not None:
-            doc["kill"] = self.kill.to_json()
         if self.error is not None:
             doc["error"] = self.error
         return doc
@@ -97,8 +133,10 @@ class RaceResult:
     winner: str | None
     outcomes: dict[str, VariantOutcome]
     views: dict[str, VariantView]
-    decisions: list[KillDecision] = field(default_factory=list)
-    tuned: list[str] = field(default_factory=list)
+    #: Always empty: no variant is stopped by the race.  Kept because
+    #: ``perfbench/workloads.py`` still reads it.
+    decisions: list[Any] = field(default_factory=list)
+    #: The longest variant's iteration count.
     rounds: int = 0
     wall_seconds: float = 0.0
     #: Merged Chrome-trace document (``trace=True`` races only); kept
@@ -114,8 +152,6 @@ class RaceResult:
             "winner": self.winner,
             "rounds": self.rounds,
             "wall_seconds": self.wall_seconds,
-            "tuned": list(self.tuned),
-            "decisions": [d.to_json() for d in self.decisions],
             "outcomes": {vid: out.to_json()
                          for vid, out in sorted(self.outcomes.items())},
         }
@@ -133,9 +169,6 @@ class RaceController:
         aux_root: str | None = None,
         base_config: ComPLxConfig | None = None,
         base_overrides: dict[str, Any] | None = None,
-        arbiter: RaceArbiter | None = None,
-        tuner: AutoTuner | None = None,
-        checkpoint_every: int = 1,
         max_workers: int | None = None,
         start_method: str | None = None,
         inject: dict[str, dict[str, Any]] | None = None,
@@ -152,9 +185,6 @@ class RaceController:
         self.base_overrides = dict(base_overrides or {})
         self.base_config = base_config if base_config is not None \
             else ComPLxConfig(**self.base_overrides)
-        self.arbiter = arbiter if arbiter is not None else RaceArbiter()
-        self.tuner = tuner if tuner is not None else AutoTuner()
-        self.checkpoint_every = max(int(checkpoint_every), 1)
         self.max_workers = max_workers if max_workers is not None \
             else max((os.cpu_count() or 2) - 1, 2)
         self._ctx = mp.get_context(start_method) if start_method \
@@ -166,14 +196,12 @@ class RaceController:
 
         self.trace = bool(trace)
         self.merger: TraceMerger | None = None
-        #: Worker label -> stable Chrome-trace pid.  Allocation follows
-        #: spawn order, which the round barrier makes deterministic.
+        #: Worker label -> stable Chrome-trace pid, allocated in spawn
+        #: order.
         self._lanes: dict[str, int] = {}
 
         self.views: dict[str, VariantView] = {}
         self.outcomes: dict[str, VariantOutcome] = {}
-        self.decisions: list[KillDecision] = []
-        self.tuned: list[str] = []
         self._specs: dict[str, VariantSpec] = {}
         #: Variants whose first worker crashed; they get one rerun.
         self._retried: set[str] = set()
@@ -210,15 +238,6 @@ class RaceController:
         eps = max(self.base_config.b2b_eps_rows * row_h, 1e-9)
         return AssemblyPlan(self.netlist, model=model, eps=eps)
 
-    def _make_view(self, spec: VariantSpec) -> VariantView:
-        config = spec.config(self.base_config)
-        return VariantView(
-            variant_id=spec.variant_id,
-            gap_tol=config.gap_tol,
-            gap_tolerance=config.gap_tolerance,
-            lambda_growth_cap=config.lambda_growth_cap,
-        )
-
     def _lane_for(self, label: str) -> int:
         lane = self._lanes.get(label)
         if lane is None:
@@ -232,13 +251,10 @@ class RaceController:
                 "variant_id": spec.variant_id,
                 "overrides": dict(spec.overrides),
                 "effort": spec.effort,
-                "parent": spec.parent,
-                "origin": spec.origin,
             },
             "base_overrides": dict(self.base_overrides),
             "workload": self.workload or {},
             "aux_root": self.aux_root,
-            "checkpoint_every": self.checkpoint_every,
         }
         fault = self.inject.get(spec.variant_id)
         if fault is not None and (not was_retry or fault.get("persist")):
@@ -257,13 +273,10 @@ class RaceController:
     def _race_loop(self, started: float) -> RaceResult:
         pending: list[VariantSpec] = list(self.portfolio)
         running: dict[str, Attempt] = {}
-        killed: set[str] = set()
-        round_no = 0
 
         for spec in pending:
-            self.views[spec.variant_id] = self._make_view(spec)
+            self.views[spec.variant_id] = VariantView(spec.variant_id)
             self._specs[spec.variant_id] = spec
-            self.tuner.register(spec)
 
         try:
             while pending or running:
@@ -272,48 +285,29 @@ class RaceController:
                     running[spec.variant_id] = self._spawn(spec)
 
                 self._collect(running, pending)
-
-                while round_settled(round_no + 1,
-                                    self._in_race_views(killed)):
-                    round_no += 1
-                    for decision in self.arbiter.decide(
-                            round_no, self._in_race_views(killed)):
-                        self._apply_kill(decision, running, pending,
-                                         killed)
                 if not (pending or running):
                     break
-                # A worker that already sent its last message is only
-                # waited on for its exit, which the next pass reaps.
-                connection_wait([attempt.conn
-                                 for vid, attempt in running.items()
-                                 if vid not in self.outcomes],
+                # Wake on a message, or on the exit of a worker that
+                # already sent its last one so that its slot is refilled
+                # at once (its pipe, closed by then, would end every
+                # wait at once).
+                connection_wait([attempt.process.sentinel
+                                 if vid in self.outcomes else attempt.conn
+                                 for vid, attempt in running.items()],
                                 timeout=_POLL_SECONDS)
         finally:
             for attempt in running.values():
                 attempt.reap()
 
-        winner = pick_winner(self._in_race_views(killed))
-        wall = time.monotonic() - started
         return RaceResult(
-            winner=winner, outcomes=self.outcomes, views=self.views,
-            decisions=list(self.decisions), tuned=list(self.tuned),
-            rounds=round_no, wall_seconds=wall,
+            winner=pick_winner(self.views), outcomes=self.outcomes,
+            views=self.views,
+            rounds=max((out.iterations for out in self.outcomes.values()),
+                       default=0),
+            wall_seconds=time.monotonic() - started,
         )
 
     # ------------------------------------------------------------------
-    def _in_race_views(self, killed: set[str]) -> dict[str, VariantView]:
-        """Views the arbiter/winner may look at: not killed, not dead."""
-        out = {}
-        for vid, view in self.views.items():
-            if vid in killed:
-                continue
-            outcome = self.outcomes.get(vid)
-            if outcome is not None and outcome.status in ("crashed",
-                                                          "error"):
-                continue
-            out[vid] = view
-        return out
-
     def _collect(self, running: dict[str, Attempt],
                  pending: list[VariantSpec]) -> None:
         """Pull every queued message off every worker pipe; reap the
@@ -334,7 +328,6 @@ class RaceController:
             self._trace_variant(vid, attempt, "crashed")
             if vid not in self._retried:
                 self._retried.add(vid)
-                self.views[vid].reset()
                 logger.warning(
                     "race variant %s crashed (exit %s); retrying once",
                     vid, code)
@@ -359,16 +352,14 @@ class RaceController:
 
     def _on_message(self, vid: str, attempt: Attempt, kind: str,
                     body: dict[str, Any]) -> None:
-        view = self.views[vid]
-        if kind == "checkpoint":
-            view.record_checkpoint(body["iterations"], body["series"])
-        elif kind == "telemetry":
+        if kind == "telemetry":
             if self.merger is not None:
                 self.merger.ingest(body)
         elif kind == "result":
-            view.record_finish(body.get("stop_reason", ""),
-                               body.get("tail", {}).get("iterations"),
-                               body.get("tail", {}).get("series"))
+            tail = body.get("tail", {})
+            self.views[vid].record_finish(body.get("stop_reason", ""),
+                                          tail.get("iterations", []),
+                                          tail.get("series", {}))
             self.outcomes[vid] = VariantOutcome(
                 spec=self._specs[vid], status="finished",
                 iterations=int(body.get("iterations", 0)),
@@ -389,45 +380,3 @@ class RaceController:
             self._trace_variant(vid, attempt, "error")
             logger.warning("race variant %s errored: %s", vid,
                            self.outcomes[vid].error)
-
-    def _apply_kill(self, decision: KillDecision,
-                    running: dict[str, Attempt],
-                    pending: list[VariantSpec],
-                    killed: set[str]) -> None:
-        vid = decision.variant_id
-        killed.add(vid)
-        self.decisions.append(decision)
-        if self.merger is not None:
-            self.merger.add_instant(f"kill {vid}", time.perf_counter(),
-                                    rule=decision.rule,
-                                    round=decision.round)
-        spec = self._specs[vid]
-        attempt = running.pop(vid, None)
-        if attempt is not None:
-            attempt.reap()
-            self._trace_variant(vid, attempt, "killed")
-            wall = time.perf_counter() - attempt.started
-        else:
-            # A result raced in ahead of the verdict; the verdict is
-            # ground truth, the result is dropped.
-            prior = self.outcomes.get(vid)
-            wall = prior.wall_seconds if prior is not None else 0.0
-        self.outcomes[vid] = VariantOutcome(
-            spec=spec, status="killed", kill=decision,
-            iterations=self.views[vid].iterations[-1] + 1
-            if self.views[vid].iterations else 0,
-            stop_reason=f"killed:{decision.rule}",
-            wall_seconds=wall,
-        )
-        logger.info("race: killed %s at round %d (%s)", vid,
-                    decision.round, decision.rule)
-
-        tuned = self.tuner.propose(spec, decision, self.base_config)
-        if tuned is not None:
-            self.views[tuned.variant_id] = self._make_view(tuned)
-            self._specs[tuned.variant_id] = tuned
-            self.tuned.append(tuned.variant_id)
-            pending.append(tuned)
-            logger.info("race: tuned %s -> %s (%s)", vid,
-                        tuned.variant_id, tuned.overrides)
-

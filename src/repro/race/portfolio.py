@@ -1,21 +1,18 @@
 """Portfolio builder: expand a base config into race variants.
 
-A variant is a named, immutable bundle of ComPLx config overrides —
-optionally derived from a Coloquinte-style effort preset — plus the
-lineage bookkeeping the tuner uses when it re-queues adjusted copies.
-Expansion is fully deterministic: the same inputs produce the same
-variants in the same order, which the arbiter's replay guarantee
-builds on.
+A variant is a named, immutable bundle of ComPLx config overrides,
+optionally derived from a Coloquinte-style effort preset.  Expansion is
+fully deterministic: the same inputs produce the same variants in the
+same order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from ..core.config import ComPLxConfig
 from ..core.effort import effort_overrides
-from ..serve.queue import BACKGROUND_PRIORITY
 
 __all__ = ["VariantSpec", "build_portfolio"]
 
@@ -32,15 +29,10 @@ class VariantSpec:
     variant_id: str
     overrides: dict[str, Any] = field(default_factory=dict)
     effort: int | None = None
-    #: variant_id of the killed variant this one was tuned from.
-    parent: str | None = None
-    origin: str = "portfolio"  # "portfolio" | "tuned"
 
     def __post_init__(self) -> None:
         if not self.variant_id:
             raise ValueError("variant_id must be non-empty")
-        if self.origin not in ("portfolio", "tuned"):
-            raise ValueError(f"unknown origin {self.origin!r}")
 
     def effective_overrides(self) -> dict[str, Any]:
         """Preset knobs with explicit overrides folded on top."""
@@ -55,36 +47,8 @@ class VariantSpec:
         return base.with_overrides(**self.effective_overrides())
 
     def dedupe_key(self) -> tuple[tuple[str, Any], ...]:
-        """Canonical identity of the knob set (for tuner dedupe)."""
+        """Canonical identity of the knob set (for portfolio dedupe)."""
         return tuple(sorted(self.effective_overrides().items()))
-
-    def with_id(self, variant_id: str) -> "VariantSpec":
-        return replace(self, variant_id=variant_id)
-
-    def to_job_payload(self, workload: dict[str, Any], *,
-                       tenant: str = "race",
-                       priority: int = BACKGROUND_PRIORITY,
-                       ) -> dict[str, Any]:
-        """A :mod:`repro.serve` submission for this variant.
-
-        Defaults to the *background* priority band so a race submitted
-        through the service never starves interactive jobs.
-        """
-        if priority < BACKGROUND_PRIORITY:
-            raise ValueError(
-                "race variants must submit at background priority "
-                f"(>= {BACKGROUND_PRIORITY}); got {priority}"
-            )
-        payload: dict[str, Any] = {
-            "tenant": tenant,
-            "name": self.variant_id,
-            "priority": priority,
-            "workload": dict(workload),
-            "config": dict(self.overrides),
-        }
-        if self.effort is not None:
-            payload["effort"] = self.effort
-        return payload
 
 
 def build_portfolio(
@@ -94,7 +58,6 @@ def build_portfolio(
     variants: Mapping[str, Mapping[str, Any]] | None = None,
     base_overrides: Mapping[str, Any] | None = None,
     include_base: bool = True,
-    limit: int | None = None,
 ) -> list[VariantSpec]:
     """Expand race inputs into an ordered, deduplicated variant list.
 
@@ -136,8 +99,6 @@ def build_portfolio(
             continue
         seen_knobs.add(key)
         unique.append(spec)
-    if limit is not None:
-        unique = unique[:max(limit, 1)]
     if not unique:
         raise ValueError("portfolio is empty")
     return unique

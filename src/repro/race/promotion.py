@@ -1,9 +1,8 @@
 """Winner promotion: land the full portfolio in the runs registry.
 
-Every variant — winner, finishers, early kills, even crashes — is
-archived as its own run so a race is auditable after the fact: the
-killed losers' partial series are exactly what the arbiter saw when it
-pulled the trigger.  The winner's run directory additionally gets a
+Every variant — winner, other finishers, even crashes and errors — is
+archived as its own run so a race is auditable after the fact.  The
+winner's run directory additionally gets a
 ``promotion.json`` / ``promotion.md`` justification built from
 :func:`repro.runs.diff_runs` comparisons against every rival, so "why
 did this config win" is answered with series deltas, not vibes.
@@ -17,35 +16,23 @@ from typing import Any
 
 from ..runs import RunRegistry, diff_runs
 from ..telemetry import MetricsRegistry
-from .arbiter import TRACKED_SERIES, VariantView
 from .controller import RaceResult, VariantOutcome
 
 __all__ = ["promote"]
 
 
-def _registry_for(outcome: VariantOutcome,
-                  view: VariantView) -> MetricsRegistry:
-    """The best available metrics registry for one variant.
+def _registry_for(outcome: VariantOutcome) -> MetricsRegistry:
+    """The variant's metrics registry, tagged with its race outcome.
 
-    Finished variants shipped their full registry back; everyone else
-    is reconstructed from the series the controller accumulated before
-    the kill/crash — a faithful record of the evidence.
+    A finished variant shipped its full registry back; a crashed or
+    errored one has none and archives an empty registry.
     """
-    if outcome.metrics is not None:
-        registry = MetricsRegistry.from_dict(outcome.metrics)
-    else:
-        registry = MetricsRegistry()
-        for name in TRACKED_SERIES:
-            series = registry.series(name)
-            for iteration, value in zip(view.iterations,
-                                        view.series[name]):
-                series.record(iteration, value)
+    registry = MetricsRegistry.from_dict(outcome.metrics) \
+        if outcome.metrics is not None else MetricsRegistry()
     registry.meta["stop_reason"] = outcome.stop_reason \
         or registry.meta.get("stop_reason", "")
     registry.meta["race_variant"] = outcome.spec.variant_id
     registry.meta["race_status"] = outcome.status
-    if outcome.kill is not None:
-        registry.meta["race_kill_rule"] = outcome.kill.rule
     return registry
 
 
@@ -67,8 +54,7 @@ def promote(result: RaceResult, registry_root: str, *,
 
     for vid in sorted(result.outcomes):
         outcome = result.outcomes[vid]
-        view = result.views.get(vid, VariantView(variant_id=vid))
-        metrics = _registry_for(outcome, view)
+        metrics = _registry_for(outcome)
         registries[vid] = metrics
         extra = {"race": dict(outcome.to_json(),
                               winner=(vid == result.winner))}
@@ -83,8 +69,6 @@ def promote(result: RaceResult, registry_root: str, *,
         "winner": result.winner,
         "rounds": result.rounds,
         "wall_seconds": result.wall_seconds,
-        "tuned": list(result.tuned),
-        "decisions": [d.to_json() for d in result.decisions],
         "rivals": {},
     }
     lines = [f"# Race promotion: {result.winner or 'no winner'}", ""]
@@ -110,11 +94,7 @@ def promote(result: RaceResult, registry_root: str, *,
                 "status": result.outcomes[vid].status,
                 "diff": diff.to_json(),
             }
-            status = result.outcomes[vid].status
-            kill = result.outcomes[vid].kill
-            why = f"killed by `{kill.rule}` at round {kill.round}" \
-                if kill is not None else status
-            lines.append(f"## vs `{vid}` ({why})")
+            lines.append(f"## vs `{vid}` ({result.outcomes[vid].status})")
             lines.append("")
             lines.append("```")
             lines.append(diff.render())

@@ -2,13 +2,14 @@
 
 Follows the crash contract of :mod:`repro.serve.attempt` (crash
 isolation, hard exit on injected crashes, deterministic errors over
-the pipe) but streams *checkpoint series* instead of progress events,
-because the parent-side arbiter consumes numbers, not prose:
+the pipe):
 
-* ``("checkpoint", {...})`` — incremental per-iteration records since
-  the previous checkpoint (every ``checkpoint_every`` iterations),
-* ``("result", {...})`` — terminal payload: tail records, stop reason,
-  the feasible upper placement, and the full metrics registry,
+* ``("telemetry", frame)`` — traced races only, one frame per
+  iteration, shipped through ``place(callback=...)`` as the serve
+  worker does; an untraced variant sends nothing before its result,
+* ``("result", {...})`` — terminal payload: the per-iteration series
+  of the whole run (``tail``), stop reason, the feasible upper
+  placement, and the full metrics registry,
 * ``("error", {...})`` — deterministic failure; the controller retries
   only crashes (abnormal exits), never these.
 
@@ -28,17 +29,19 @@ from typing import Any
 
 from .. import telemetry
 from ..core import ComPLxConfig, ComPLxPlacer
-from ..core.history import RunHistory
 from ..models import hpwl
 from ..models.assembly import AssemblyPlan, PLANNABLE_MODELS
 from ..netlist import Netlist
 from ..serve.attempt import worker_main
 from ..serve.worker import build_netlist
-from .arbiter import TRACKED_SERIES
 from .portfolio import VariantSpec
 
-__all__ = ["clear_shared", "race_worker_entry", "run_variant",
-           "share_prebuilt"]
+__all__ = ["TRACKED_SERIES", "clear_shared", "race_worker_entry",
+           "run_variant", "share_prebuilt"]
+
+#: Per-iteration series a variant's result carries back to the race.
+TRACKED_SERIES = ("lam", "pi", "phi_lower", "phi_upper",
+                  "overflow_percent")
 
 # Parent-published shared inputs, inherited by fork children.  Keyed so
 # a stale publication for a different netlist is never trusted.
@@ -81,29 +84,25 @@ def _materialize(payload: dict[str, Any],
     return netlist, plan
 
 
+def _ship(shipper: telemetry.TelemetryShipper | None, conn,
+          force: bool = False) -> None:
+    """Send the shipper's next telemetry frame, if tracing is on."""
+    if shipper is not None:
+        frame = shipper.flush_frame(force=force)
+        if frame is not None:
+            conn.send(("telemetry", frame))
+
+
 def run_variant(payload: dict[str, Any], conn) -> dict[str, Any]:
-    """Run one variant end to end, streaming checkpoints over ``conn``."""
+    """Run one variant end to end; returns the result message body."""
     spec = VariantSpec(**payload["variant"])
     base = ComPLxConfig(**payload.get("base_overrides", {}))
     config = spec.config(base)
-    checkpoint_every = max(int(payload.get("checkpoint_every", 1)), 1)
-    # Absent "trace" entry -> None -> every shipping site below is
-    # skipped; the worker's math and messages are byte-identical.
+    # Absent "trace" entry -> None -> no shipper and no callback; the
+    # worker's math and result are byte-identical.
     trace_ctx = telemetry.TraceContext.from_wire(payload.get("trace"))
 
     netlist, plan = _materialize(payload, config)
-
-    sent = 0          # per-iteration records already streamed
-    ordinal = 0       # checkpoint counter
-
-    def slice_records(history: RunHistory,
-                      upto: int) -> dict[str, Any]:
-        records = history.records[sent:upto]
-        return {
-            "iterations": [r.iteration for r in records],
-            "series": {name: [float(getattr(r, name)) for r in records]
-                       for name in TRACKED_SERIES},
-        }
 
     with contextlib.ExitStack() as stack:
         shipper = None
@@ -113,35 +112,22 @@ def run_variant(payload: dict[str, Any], conn) -> dict[str, Any]:
         placer = ComPLxPlacer(netlist, config)
         if plan is not None:
             placer.adopt_plan(plan)
+        result = placer.place(
+            callback=None if shipper is None
+            else lambda k, lower, upper: _ship(shipper, conn))
+        _ship(shipper, conn, force=True)
 
-        def observer(k: int, history: RunHistory) -> None:
-            nonlocal sent, ordinal
-            if len(history.records) - sent < checkpoint_every:
-                return
-            ordinal += 1
-            body = slice_records(history, len(history.records))
-            body.update(variant_id=spec.variant_id, ordinal=ordinal)
-            conn.send(("checkpoint", body))
-            sent += len(body["iterations"])
-            if shipper is not None:
-                frame = shipper.flush_frame()
-                if frame is not None:
-                    conn.send(("telemetry", frame))
-
-        placer.observer = observer
-        result = placer.place()
-        if shipper is not None:
-            frame = shipper.flush_frame(force=True)
-            if frame is not None:
-                conn.send(("telemetry", frame))
-
-    tail = slice_records(result.history, len(result.history.records))
+    records = result.history.records
     return {
         "variant_id": spec.variant_id,
         "stop_reason": result.history.stop_reason,
         "iterations": result.history.iterations,
         "hpwl_upper": float(hpwl(netlist, result.upper)),
-        "tail": tail,
+        "tail": {
+            "iterations": [r.iteration for r in records],
+            "series": {name: [float(getattr(r, name)) for r in records]
+                       for name in TRACKED_SERIES},
+        },
         "metrics": result.metrics.to_dict(),
         "placement": {"x": [float(v) for v in result.upper.x],
                       "y": [float(v) for v in result.upper.y]},

@@ -5,14 +5,14 @@ The job service (:mod:`repro.serve.runtime`) and the portfolio race
 process of its own and read the same contract off it.  This module is
 that contract; each runtime adds only its policy (serve: monitor
 thread, cancellation, hard-kill deadline, backoff retries; race: one
-wait loop over every worker, one crash retry, kill verdicts).
+wait loop over every worker, one crash retry).
 
 The crash contract
 ------------------
 
 * **Messages.**  The worker streams ``(kind, body)`` tuples over a
-  one-way pipe (serve: ``"event"``, race: ``"checkpoint"``, both:
-  ``"telemetry"``) and ends with one terminal message.
+  one-way pipe (serve: ``"event"``, both: ``"telemetry"``) and ends
+  with one terminal message.
 * **Result.**  ``("result", body)``: the run finished.
 * **Deterministic error.**  ``("error", {"type", "message"})``: an
   exception such as a bad workload or exhausted in-worker recovery.

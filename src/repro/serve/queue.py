@@ -24,10 +24,10 @@ from typing import Any
 
 __all__ = ["BACKGROUND_PRIORITY", "BoundedPriorityQueue", "QueueFull"]
 
-#: Priorities at or above this value form the *background band*:
-#: portfolio-racing variants and other batch work submit here.  The
-#: dispatcher only accepts background entries while at least one worker
-#: slot stays free for interactive jobs, so racing never starves users.
+#: Priorities at or above this value form the *background band*: batch
+#: work submits here.  The dispatcher only accepts background entries
+#: while at least one worker slot stays free for interactive jobs, so
+#: batch work never starves users.
 #: Interactive priorities (< this value) always sort ahead of background
 #: ones in the heap, so the band check reduces to inspecting the top.
 BACKGROUND_PRIORITY = 10

@@ -17,11 +17,11 @@ result, nothing more.  Four cooperating pieces fix that:
 * :class:`TelemetryShipper` — the worker side.  Wraps the worker's
   local :class:`~repro.telemetry.Tracer`/
   :class:`~repro.telemetry.MetricsRegistry` and, at natural flush
-  points (progress emits, checkpoints, the terminal message), builds a
-  bounded *telemetry frame*: the span records completed since the last
-  frame, series increments, gauge values and counter deltas.  Budgets
-  are enforced per frame and per worker; overflow is *counted*, never
-  silent.
+  points (per-iteration progress callbacks, the terminal message),
+  builds a bounded *telemetry frame*: the span records completed since
+  the last frame, series increments, gauge values and counter deltas.
+  Budgets are enforced per frame and per worker; overflow is *counted*,
+  never silent.
 * :class:`TraceMerger` — the parent side.  Accumulates frames per
   worker plus the parent's own spans and renders one Chrome-trace
   document for the whole job/race: parent on pid 1, each worker on its
@@ -259,9 +259,8 @@ class TelemetryShipper:
 class TraceMerger:
     """Parent-side accumulator rendering one merged Chrome trace.
 
-    ``ingest`` folds worker frames in arrival order; ``add_span`` /
-    ``add_instant`` record parent-side (controller/runtime) intervals
-    on pid 1.  :meth:`chrome_trace` renders the merged document — a
+    ``ingest`` folds worker frames in arrival order; ``add_span``
+    records parent-side (controller/runtime) intervals on pid 1.  :meth:`chrome_trace` renders the merged document — a
     pure function of everything ingested, so rendering twice from the
     same evidence is byte-identical.
 
@@ -292,20 +291,6 @@ class TraceMerger:
             "ph": "X",
             "ts": (start - self.origin) * 1e6,
             "dur": (end - start) * 1e6,
-            "pid": 1,
-            "tid": 1,
-            "cat": self.context.trace_id,
-            "args": dict(attrs),
-        }
-        with self._lock:
-            self._parent_events.append(event)
-
-    def add_instant(self, name: str, at: float, **attrs: Any) -> None:
-        event = {
-            "name": name,
-            "ph": "i",
-            "s": "t",
-            "ts": (at - self.origin) * 1e6,
             "pid": 1,
             "tid": 1,
             "cat": self.context.trace_id,

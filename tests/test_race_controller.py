@@ -1,6 +1,7 @@
-"""Race controller integration: small real races over worker processes.
+"""Race controller: the winner rule, and small real races over worker
+processes.
 
-Sized for CI: micro netlists, 2-3 variants per race.  The full-size
+Sized for CI: micro netlists, 1-3 variants per race.  The full-size
 acceptance scenario (wall-clock win, promotion) lives in the
 ``repro.race --smoke`` job.
 """
@@ -9,29 +10,63 @@ import numpy as np
 import pytest
 
 from repro.core import ComPLxConfig, ComPLxPlacer
-from repro.race.arbiter import RaceArbiter
-from repro.race.controller import RaceController
+from repro.race.controller import (RaceController, VariantView,
+                                   pick_winner)
 from repro.race.portfolio import VariantSpec, build_portfolio
-from repro.race.tuner import AutoTuner
+from repro.race.worker import TRACKED_SERIES
 from repro.serve.worker import build_netlist
 
 WORKLOAD = {"kind": "synthetic", "num_cells": 120, "seed": 3}
 
 HONEST = {"max_iterations": 40, "gap_tolerance": 0.2}
 
-# the λ-doubling ablation with every self-stop pinned shut: only the
-# arbiter (or the iteration budget) can end it
-LOSER = {
-    "lambda_mode": "double",
-    "max_iterations": 120,
-    "gap_tolerance": None,
-    "gap_tol": 1e-6,
-    "pi_tol_fraction": 1e-9,
-}
 
-#: Stall and dominance parked so the only kill path is the doctor —
-#: the deterministic one on this tiny workload.
-DOCTOR_ONLY = dict(gap_factor=1e9, dominance_margin=1e9)
+def finished_view(vid, phi_upper):
+    """A finished view whose feasible cost falls to ``phi_upper``."""
+    costs = [phi_upper * 1.5, phi_upper * 1.2, phi_upper]
+    series = {name: [1.0] * len(costs) for name in TRACKED_SERIES}
+    series["phi_upper"] = costs
+    view = VariantView(variant_id=vid)
+    view.record_finish("gap_closed", [1, 2, 3], series)
+    return view
+
+
+class TestVariantView:
+    def test_finish_folds_tail_and_final_cost(self):
+        view = finished_view("v", 900.0)
+        assert view.finished and view.stop_reason == "gap_closed"
+        assert view.iterations == [1, 2, 3]
+        assert view.series["phi_upper"] == [1350.0, 1080.0, 900.0]
+        assert view.final_phi_upper == 900.0
+
+    def test_non_monotonic_stream_rejected(self):
+        view = VariantView(variant_id="v")
+        series = {name: [0.0, 0.0] for name in TRACKED_SERIES}
+        with pytest.raises(ValueError, match="non-monotonic"):
+            view.record_finish("plateau", [2, 1], series)
+
+    def test_series_length_mismatch_rejected(self):
+        view = VariantView(variant_id="v")
+        bad = {name: [1.0] for name in TRACKED_SERIES}
+        bad["pi"] = []
+        with pytest.raises(ValueError, match="pi"):
+            view.record_finish("plateau", [1], bad)
+
+
+class TestPickWinner:
+    def test_lowest_final_cost_wins(self):
+        views = {"a": finished_view("a", 1000.0),
+                 "b": finished_view("b", 900.0),
+                 "mid": VariantView(variant_id="mid")}
+        assert pick_winner(views) == "b"
+
+    def test_tie_breaks_lexicographically(self):
+        views = {"z": finished_view("z", 1000.0),
+                 "a": finished_view("a", 1000.0)}
+        assert pick_winner(views) == "a"
+
+    def test_no_finisher_no_winner(self):
+        assert pick_winner({"v": VariantView(variant_id="v")}) is None
 
 
 @pytest.fixture(scope="module")
@@ -39,42 +74,35 @@ def netlist():
     return build_netlist(WORKLOAD)
 
 
+def race(netlist, portfolio, **kwargs):
+    return RaceController(portfolio, netlist=netlist, workload=WORKLOAD,
+                          **kwargs).execute()
+
+
 class TestRace:
-    def test_kill_tune_and_bit_identical_winner(self, netlist):
-        portfolio = build_portfolio(
-            variants={"loser": LOSER}, base_overrides=HONEST)
-        controller = RaceController(
-            portfolio,
-            netlist=netlist,
-            workload=WORKLOAD,
-            arbiter=RaceArbiter(**DOCTOR_ONLY),
-            tuner=AutoTuner(budget=1),
-            checkpoint_every=1,
-            max_workers=4,
-        )
-        result = controller.execute()
+    def test_every_variant_finishes_and_the_race_repeats(self, netlist):
+        portfolio = build_portfolio(seeds=(5,), efforts=(3,),
+                                    base_overrides=HONEST)
+        assert len(portfolio) == 3
+        result = race(netlist, portfolio, max_workers=2)
 
-        loser = result.outcomes["loser"]
-        assert loser.status == "killed"
-        assert loser.kill is not None
-        assert loser.kill.rule == "doctor:lambda-cap-saturation"
-        assert loser.iterations < LOSER["max_iterations"]
-        assert loser.stop_reason == \
-            f"killed:{loser.kill.rule}"
-
-        assert result.tuned == ["loser-t1"]
-        tuned = result.outcomes["loser-t1"]
-        assert tuned.spec.parent == "loser"
-        assert tuned.spec.overrides["lambda_mode"] == "complx"
-        assert tuned.status in ("finished", "killed")
-
-        assert result.winner is not None
-        winner = result.winner_outcome
-        assert winner is not None and winner.status == "finished"
-        assert winner.placement is not None
+        assert sorted(result.outcomes) == sorted(
+            spec.variant_id for spec in portfolio)
+        assert all(out.status == "finished"
+                   for out in result.outcomes.values())
+        assert result.decisions == []
+        assert result.rounds == max(
+            out.iterations for out in result.outcomes.values())
+        for vid, out in result.outcomes.items():
+            assert len(result.views[vid].iterations) == out.iterations
+        # the winner has the lowest HPWL, ties broken by variant id
+        assert result.winner == min(
+            (out.hpwl_upper, vid) for vid, out in result.outcomes.items())[1]
 
         # the raced winner is bit-identical to the same config run
-        # standalone: shared-plan adoption and streaming change nothing
+        # standalone: shared-plan adoption and the worker change nothing
+        winner = result.winner_outcome
+        assert winner is not None and winner.placement is not None
         config = winner.spec.config(ComPLxConfig())
         rerun = ComPLxPlacer(netlist, config).place()
         assert np.array_equal(
@@ -85,17 +113,22 @@ class TestRace:
             rerun.upper.y)
         assert winner.stop_reason == rerun.history.stop_reason
 
+        # each variant is a function of config, netlist and seed, so a
+        # second race of the same portfolio repeats the first
+        again = race(netlist, portfolio, max_workers=2)
+
+        def summary(res):
+            return {vid: (out.status, out.iterations, out.hpwl_upper)
+                    for vid, out in res.outcomes.items()}
+
+        assert summary(again) == summary(result)
+        assert again.winner == result.winner
+
     @pytest.mark.chaos
     def test_crash_is_retried_once_and_recovers(self, netlist):
         portfolio = [VariantSpec("base", overrides=dict(HONEST))]
-        controller = RaceController(
-            portfolio,
-            netlist=netlist,
-            workload=WORKLOAD,
-            arbiter=RaceArbiter(**DOCTOR_ONLY),
-            inject={"base": {"mode": "crash", "at": 3}},
-        )
-        result = controller.execute()
+        result = race(netlist, portfolio,
+                      inject={"base": {"mode": "crash", "at": 3}})
         outcome = result.outcomes["base"]
         assert outcome.status == "finished"
         assert outcome.retried is True
@@ -104,14 +137,9 @@ class TestRace:
     @pytest.mark.chaos
     def test_second_crash_is_terminal(self, netlist):
         portfolio = [VariantSpec("base", overrides=dict(HONEST))]
-        controller = RaceController(
-            portfolio,
-            netlist=netlist,
-            workload=WORKLOAD,
-            arbiter=RaceArbiter(**DOCTOR_ONLY),
-            inject={"base": {"mode": "crash", "at": 3, "persist": True}},
-        )
-        result = controller.execute()
+        result = race(netlist, portfolio,
+                      inject={"base": {"mode": "crash", "at": 3,
+                                       "persist": True}})
         outcome = result.outcomes["base"]
         assert outcome.status == "crashed"
         assert outcome.retried is True

@@ -1,11 +1,10 @@
-"""Portfolio builder: deterministic expansion, dedupe, serve payloads."""
+"""Portfolio builder: deterministic expansion and dedupe."""
 
 import pytest
 
 from repro.core.config import ComPLxConfig
 from repro.core.effort import effort_overrides
 from repro.race.portfolio import VariantSpec, build_portfolio
-from repro.serve.queue import BACKGROUND_PRIORITY
 
 
 class TestVariantSpec:
@@ -26,22 +25,6 @@ class TestVariantSpec:
         with pytest.raises(ValueError):
             VariantSpec("")
 
-    def test_unknown_origin_rejected(self):
-        with pytest.raises(ValueError):
-            VariantSpec("v", origin="mystery")
-
-    def test_job_payload_defaults_to_background_band(self):
-        spec = VariantSpec("v", overrides={"seed": 3}, effort=2)
-        payload = spec.to_job_payload({"kind": "synthetic"})
-        assert payload["priority"] >= BACKGROUND_PRIORITY
-        assert payload["effort"] == 2
-        assert payload["config"] == {"seed": 3}
-
-    def test_job_payload_rejects_interactive_priority(self):
-        spec = VariantSpec("v")
-        with pytest.raises(ValueError):
-            spec.to_job_payload({"kind": "synthetic"},
-                                priority=BACKGROUND_PRIORITY - 1)
 
 
 class TestBuildPortfolio:
@@ -76,10 +59,6 @@ class TestBuildPortfolio:
     def test_non_int_seed_rejected(self):
         with pytest.raises(ValueError):
             build_portfolio(seeds=("a",))
-
-    def test_limit_truncates(self):
-        portfolio = build_portfolio(seeds=(1, 2, 3), limit=2)
-        assert [s.variant_id for s in portfolio] == ["base", "s1"]
 
     def test_empty_portfolio_raises(self):
         with pytest.raises(ValueError, match="empty"):
