@@ -70,9 +70,6 @@ def _add_place_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--svg", default=None,
                         help="also write a placement plot to this path")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="CG solver threads: 2 overlaps the x/y axis "
-                             "solves; 1 (default) is bit-exact sequential")
     parser.add_argument("--check-invariants", action="store_true",
                         help="verify stage-boundary invariants while "
                              "placing and certify the legalized result "
@@ -171,7 +168,6 @@ def _place_flow(args: argparse.Namespace) -> int:
                          seed=args.seed,
                          check_invariants=args.check_invariants,
                          resilience=resilience,
-                         solver_threads=args.threads,
                          effort=args.effort)
     if args.resume is not None and not hasattr(placer, "_run_iteration"):
         print(f"error: placer {args.placer!r} does not support --resume",

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -37,7 +36,7 @@ from ..models.hpwl import weighted_hpwl
 from ..models.logsumexp import lse_wirelength
 from ..netlist import Netlist, Placement
 from ..projection import FeasibilityProjection
-from ..solvers.cg import record_cg_solve, solve_spd, solve_spd_quiet
+from ..solvers.cg import solve_spd
 from ..solvers.nonlinear_cg import minimize_nlcg
 from .anchors import add_anchors_to_system
 from .config import ComPLxConfig
@@ -227,45 +226,16 @@ class ComPLxPlacer:
             )
         return self._plan
 
-    def adopt_plan(self, plan: AssemblyPlan) -> None:
-        """Adopt a prebuilt :class:`AssemblyPlan` instead of building one.
-
-        The racing runtime builds the plan once per netlist and shares it
-        across all portfolio variants (fork inherits it copy-on-write),
-        so N variants pay one symbolic-analysis cost.  The plan must have
-        been built for this placer's model and epsilon — plan
-        construction is deterministic, so an adopted plan yields the
-        bit-identical trajectory a locally built one would.
-        """
-        if plan.model != self.config.net_model:
-            raise ValueError(
-                f"plan was built for net model {plan.model!r}, "
-                f"config wants {self.config.net_model!r}"
-            )
-        if plan.eps != self._b2b_eps:
-            raise ValueError(
-                f"plan eps {plan.eps!r} != config eps {self._b2b_eps!r}"
-            )
-        self._plan = plan
-
     def _solve_quadratic(
         self,
         current: Placement,
         anchor: Placement | None,
         lam: float,
     ) -> Placement:
-        """One linearized-quadratic primal step (both axes).
-
-        Both axis systems are assembled first (on the main thread — the
-        plan's buffers and the tracer's span stack are not thread-safe),
-        then solved; with ``solver_threads > 1`` the two CG solves run
-        concurrently.  Assembly reads only ``current``, so hoisting the
-        y-axis build ahead of the x-axis solve leaves results unchanged.
-        """
+        """One linearized-quadratic primal step (both axes)."""
+        config = self.config
         out = current.copy()
         plan = self._assembly_plan()
-        systems: dict[str, object] = {}
-        warms: dict[str, np.ndarray] = {}
         for axis in ("x", "y"):
             with telemetry.span("b2b_build", axis=axis):
                 system = plan.build_system(current, axis)
@@ -273,11 +243,21 @@ class ComPLxPlacer:
                 self._add_anchors(system, current, anchor, lam, axis)
             self._regularize(system, axis)
             coords = current.x if axis == "x" else current.y
-            systems[axis] = system
-            warms[axis] = coords[system.cell_of_slot]
-        solutions = self._solve_axes(systems, warms)
-        for axis in ("x", "y"):
-            solution = solutions[axis]
+            warm = coords[system.cell_of_slot]
+            if self.supervisor is not None:
+                # Stalled/non-SPD solves route through the bounded CG
+                # recovery policy (regularized retries, backend fallback).
+                solution = self.supervisor.solve_spd(
+                    system, warm, tol=config.cg_tol,
+                    max_iter=config.cg_max_iter,
+                    backend=config.cg_backend,
+                )
+            else:
+                solution = solve_spd(
+                    system.matrix, system.rhs, x0=warm,
+                    tol=config.cg_tol, max_iter=config.cg_max_iter,
+                    backend=config.cg_backend,
+                )
             logger.debug(
                 "CG %s-axis: %d iterations, residual=%.3g, converged=%s",
                 axis, solution.iterations, solution.residual,
@@ -285,82 +265,8 @@ class ComPLxPlacer:
             )
             self._last_cg_iterations += solution.iterations
             target = out.x if axis == "x" else out.y
-            target[systems[axis].cell_of_slot] = solution.x
+            target[system.cell_of_slot] = solution.x
         return self.netlist.clamp_to_core(out)
-
-    def _solve_axes(self, systems: dict, warms: dict) -> dict:
-        """Solve the per-axis SPD systems, concurrently when configured."""
-        config = self.config
-        if config.solver_threads > 1 and self.supervisor is None:
-            # The Jacobi-PCG matvecs release the GIL, so two worker
-            # threads overlap the x and y solves.  Workers run quiet
-            # (the tracer's span stack is not thread-safe) but time
-            # themselves with perf_counter when a tracer is installed;
-            # the completed intervals are recorded from the main thread
-            # on dedicated trace lanes so the overlap is visible in
-            # chrome://tracing.  Metrics are recorded from the main
-            # thread too, matching the sequential path.
-            tracer = telemetry.get_tracer()
-            registry = telemetry.get_metrics()
-
-            def _solve_one(axis: str):
-                # solve_spd_quiet keeps the worker call graph free of
-                # telemetry (statcheck rule T2 enforces this).
-                t0 = time.perf_counter() if tracer is not None else 0.0
-                solution = solve_spd_quiet(
-                    systems[axis].matrix, systems[axis].rhs,
-                    x0=warms[axis], tol=config.cg_tol,
-                    max_iter=config.cg_max_iter,
-                    backend=config.cg_backend,
-                    collect_residuals=registry is not None,
-                )
-                t1 = time.perf_counter() if tracer is not None else 0.0
-                return solution, t0, t1
-
-            with telemetry.span("cg_solve", backend=config.cg_backend,
-                                threads=2) as sp:
-                with ThreadPoolExecutor(max_workers=2) as pool:
-                    futures = {axis: pool.submit(_solve_one, axis)
-                               for axis in ("x", "y")}
-                    timed = {axis: f.result()
-                             for axis, f in futures.items()}
-                solutions = {axis: t[0] for axis, t in timed.items()}
-                if tracer is not None:
-                    # The iteration sum is only worth computing when a
-                    # real span records it (G2: zero-overhead gating).
-                    sp.annotate("iterations", sum(
-                        s.iterations for s in solutions.values()))
-                    for tid, axis in ((2, "x"), (3, "y")):
-                        solution, t0, t1 = timed[axis]
-                        tracer.record_span(
-                            "cg_solve_axis", t0, t1, tid=tid, axis=axis,
-                            backend=config.cg_backend,
-                            iterations=solution.iterations,
-                            residual=solution.residual,
-                            converged=solution.converged,
-                        )
-            if registry is not None:
-                for axis in ("x", "y"):
-                    record_cg_solve(registry, solutions[axis])
-            return solutions
-        solutions = {}
-        for axis in ("x", "y"):
-            system = systems[axis]
-            if self.supervisor is not None:
-                # Stalled/non-SPD solves route through the bounded CG
-                # recovery policy (regularized retries, backend fallback).
-                solutions[axis] = self.supervisor.solve_spd(
-                    system, warms[axis], tol=config.cg_tol,
-                    max_iter=config.cg_max_iter,
-                    backend=config.cg_backend,
-                )
-            else:
-                solutions[axis] = solve_spd(
-                    system.matrix, system.rhs, x0=warms[axis],
-                    tol=config.cg_tol, max_iter=config.cg_max_iter,
-                    backend=config.cg_backend,
-                )
-        return solutions
 
     def _add_anchors(self, system, current: Placement, anchor: Placement,
                      lam: float, axis: str) -> None:

@@ -156,14 +156,6 @@ class ComPLxConfig:
     cg_backend: str = "own"
     cg_tol: float = 1e-5
     cg_max_iter: int = 500
-    #: CG worker threads for the per-axis solves.  1 (default) keeps the
-    #: sequential, bit-exact trajectory; 2 solves x and y concurrently
-    #: (the sparse matvecs release the GIL).  Summation order inside each
-    #: axis solve is unchanged, so results typically still match, but
-    #: only the single-threaded mode is *guaranteed* byte-identical.
-    #: Ignored (sequential) under a resilience Supervisor, whose
-    #: per-solve recovery bookkeeping is not thread-safe.
-    solver_threads: int = 1
     init_sweeps: int = 3
     nlcg_max_iter: int = 60
 
@@ -211,8 +203,6 @@ class ComPLxConfig:
             )
         if self.invariant_density_slack_bins <= 0:
             raise ValueError("invariant_density_slack_bins must be positive")
-        if self.solver_threads < 1:
-            raise ValueError("solver_threads must be >= 1")
         if self.gap_tolerance is not None and not 0.0 < self.gap_tolerance < 1.0:
             raise ValueError("gap_tolerance must lie in (0, 1)")
 

@@ -65,8 +65,7 @@ class FlowResult:
 
 def make_placer(name: str, netlist: Netlist, gamma: float,
                 seed: int = 0, check_invariants: bool = False,
-                resilience=None, solver_threads: int = 1,
-                effort: int | None = None):
+                resilience=None, effort: int | None = None):
     """Instantiate a registered placer by name.
 
     Names: ``complx`` (default config), ``complx_finest``, ``complx_dp``
@@ -79,12 +78,10 @@ def make_placer(name: str, netlist: Netlist, gamma: float,
     an optional :class:`~repro.core.config.ResilienceConfig`; when set
     the ComPLx variants run supervised (fault recovery, deadlines,
     checkpointing) and invariant violations become recoverable logged
-    events instead of hard aborts.  ``solver_threads`` is forwarded to
-    :attr:`ComPLxConfig.solver_threads` (concurrent x/y CG solves); the
-    baselines run their own loops and ignore it.
+    events instead of hard aborts.
     """
     knobs = dict(gamma=gamma, seed=seed, check_invariants=check_invariants,
-                 resilience=resilience, solver_threads=solver_threads)
+                 resilience=resilience)
     if effort is not None:
         # The Coloquinte-style preset fills in iteration/CG budgets and
         # the gap_tolerance finish line; only the ComPLx variants run

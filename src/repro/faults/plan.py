@@ -99,8 +99,9 @@ class FaultSpec:
 class FaultPlan:
     """A set of specs plus the per-site hit counters of the current run.
 
-    The counters are lock-guarded: hooks fire from the threaded per-axis
-    solves, so ``hit`` is a concurrent read-modify-write on ``_hits``.
+    The counters are lock-guarded: the job service fires its
+    ``serve.worker.*`` sites from concurrent per-job monitor threads, so
+    ``hit`` is a concurrent read-modify-write on ``_hits``.
     """
 
     specs: Sequence[FaultSpec] = ()

@@ -81,11 +81,6 @@ class DensityGrid:
     # ------------------------------------------------------------------
     # geometry helpers
     # ------------------------------------------------------------------
-    def bin_rect(self, ix: int, iy: int) -> Rect:
-        x0 = self.bounds.xlo + ix * self.bin_w
-        y0 = self.bounds.ylo + iy * self.bin_h
-        return Rect(x0, y0, x0 + self.bin_w, y0 + self.bin_h)
-
     def region_rect(self, region: BinRegion) -> Rect:
         return Rect(
             self.bounds.xlo + region.ix0 * self.bin_w,

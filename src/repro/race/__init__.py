@@ -5,8 +5,8 @@ cost.
 * :mod:`repro.race.portfolio` — expand a base config into variants
   (seeds, Coloquinte-style effort presets, named knob overrides),
 * :mod:`repro.race.worker` — one variant per crash-isolated process,
-  sharing one prebuilt :class:`~repro.models.assembly.AssemblyPlan`
-  across fork children,
+  which receives the netlist in its payload and builds its own
+  :class:`~repro.models.assembly.AssemblyPlan`,
 * :mod:`repro.race.controller` — the race loop and the deterministic
   winner rule,
 * :mod:`repro.race.promotion` — land the full portfolio in the

@@ -27,14 +27,12 @@ from multiprocessing.connection import wait as connection_wait
 from typing import Any, Mapping
 
 from ..core import ComPLxConfig
-from ..models.assembly import PLANNABLE_MODELS, AssemblyPlan
 from ..netlist import Netlist
 from ..serve.attempt import CRASH_EXIT_CODE, Attempt
 from ..serve.worker import build_netlist
 from ..telemetry import TraceContext, TraceMerger
 from .portfolio import VariantSpec
-from .worker import (TRACKED_SERIES, clear_shared, race_worker_entry,
-                     share_prebuilt)
+from .worker import TRACKED_SERIES, race_worker_entry
 
 __all__ = ["RaceController", "RaceResult", "VariantOutcome", "VariantView",
            "pick_winner"]
@@ -218,25 +216,10 @@ class RaceController:
             context = TraceContext(trace_id=f"race:{self.netlist.name}",
                                    parent_span="race")
             self.merger = TraceMerger(context, process_name="race")
-        plan = self._prebuild_plan()
-        share_prebuilt(self.netlist, plan)
-        try:
-            result = self._race_loop(started)
-        finally:
-            clear_shared()
+        result = self._race_loop(started)
         if self.merger is not None:
             result.trace = self.merger.chrome_trace()
         return result
-
-    def _prebuild_plan(self) -> AssemblyPlan | None:
-        """One shared plan when the base model can use it."""
-        model = self.base_config.net_model
-        if model not in PLANNABLE_MODELS:
-            return None
-        assert self.netlist is not None
-        row_h = self.netlist.core.row_height
-        eps = max(self.base_config.b2b_eps_rows * row_h, 1e-9)
-        return AssemblyPlan(self.netlist, model=model, eps=eps)
 
     def _lane_for(self, label: str) -> int:
         lane = self._lanes.get(label)
@@ -253,8 +236,7 @@ class RaceController:
                 "effort": spec.effort,
             },
             "base_overrides": dict(self.base_overrides),
-            "workload": self.workload or {},
-            "aux_root": self.aux_root,
+            "netlist": self.netlist,
         }
         fault = self.inject.get(spec.variant_id)
         if fault is not None and (not was_retry or fault.get("persist")):

@@ -5,8 +5,8 @@ pinned-seed synthetic micro netlist, each to its own stop, and asserts
 the acceptance criteria of the racing runtime end to end:
 
 1. the promoted winner's placement is **bit-identical** to running the
-   same config standalone in this process (shared-plan adoption and
-   the worker process change nothing),
+   same config standalone in this process (the worker process and the
+   netlist it receives in its payload change nothing),
 2. the race finishes in less wall-clock than the four standalone runs
    take back to back,
 3. the whole portfolio lands in the run registry with a

@@ -13,13 +13,11 @@ the pipe):
 * ``("error", {...})`` — deterministic failure; the controller retries
   only crashes (abnormal exits), never these.
 
-Heavy shared inputs — the netlist and one prebuilt
-:class:`~repro.models.assembly.AssemblyPlan` — are published by the
-parent via :func:`share_prebuilt` *before* forking, so every variant
-inherits them copy-on-write instead of rebuilding per process.  Under
-the ``spawn`` start method the globals are absent and the worker falls
-back to rebuilding from the workload descriptor; results are identical
-either way because plan construction is deterministic.
+The netlist rides in the payload: a fork child inherits it, and the
+``spawn`` and ``forkserver`` start methods pickle it.  Each variant
+builds its own :class:`~repro.models.assembly.AssemblyPlan`, as every
+:class:`~repro.core.ComPLxPlacer` does; building one costs well under a
+millisecond on the race's designs.
 """
 
 from __future__ import annotations
@@ -30,58 +28,14 @@ from typing import Any
 from .. import telemetry
 from ..core import ComPLxConfig, ComPLxPlacer
 from ..models import hpwl
-from ..models.assembly import AssemblyPlan, PLANNABLE_MODELS
-from ..netlist import Netlist
 from ..serve.attempt import worker_main
-from ..serve.worker import build_netlist
 from .portfolio import VariantSpec
 
-__all__ = ["TRACKED_SERIES", "clear_shared", "race_worker_entry",
-           "run_variant", "share_prebuilt"]
+__all__ = ["TRACKED_SERIES", "race_worker_entry", "run_variant"]
 
 #: Per-iteration series a variant's result carries back to the race.
 TRACKED_SERIES = ("lam", "pi", "phi_lower", "phi_upper",
                   "overflow_percent")
-
-# Parent-published shared inputs, inherited by fork children.  Keyed so
-# a stale publication for a different netlist is never trusted.
-_SHARED: dict[str, Any] = {}
-
-
-def share_prebuilt(netlist: Netlist,
-                   plan: AssemblyPlan | None) -> None:
-    """Publish the prebuilt netlist/plan for fork children to inherit."""
-    _SHARED["netlist"] = netlist
-    _SHARED["netlist_name"] = netlist.name
-    _SHARED["plan"] = plan
-
-
-def clear_shared() -> None:
-    _SHARED.clear()
-
-
-def _materialize(payload: dict[str, Any],
-                 config: ComPLxConfig) -> tuple[Netlist, AssemblyPlan | None]:
-    """The (netlist, adoptable plan) pair for this variant.
-
-    Prefers the parent's pre-fork publication; a plan is only adoptable
-    when its (model, eps) matches this variant's config — variants that
-    override the net model or eps quietly build their own.
-    """
-    netlist = _SHARED.get("netlist")
-    if netlist is None:
-        netlist = build_netlist(payload["workload"],
-                                payload.get("aux_root"))
-    plan = _SHARED.get("plan")
-    if plan is not None and config.net_model in PLANNABLE_MODELS:
-        probe = ComPLxPlacer(netlist, config)
-        try:
-            probe.adopt_plan(plan)
-        except ValueError:
-            plan = None
-    else:
-        plan = None
-    return netlist, plan
 
 
 def _ship(shipper: telemetry.TelemetryShipper | None, conn,
@@ -101,18 +55,14 @@ def run_variant(payload: dict[str, Any], conn) -> dict[str, Any]:
     # Absent "trace" entry -> None -> no shipper and no callback; the
     # worker's math and result are byte-identical.
     trace_ctx = telemetry.TraceContext.from_wire(payload.get("trace"))
-
-    netlist, plan = _materialize(payload, config)
+    netlist = payload["netlist"]
 
     with contextlib.ExitStack() as stack:
         shipper = None
         if trace_ctx is not None:
             tracer = stack.enter_context(telemetry.tracing())
             shipper = telemetry.TelemetryShipper(trace_ctx, tracer)
-        placer = ComPLxPlacer(netlist, config)
-        if plan is not None:
-            placer.adopt_plan(plan)
-        result = placer.place(
+        result = ComPLxPlacer(netlist, config).place(
             callback=None if shipper is None
             else lambda k, lower, upper: _ship(shipper, conn))
         _ship(shipper, conn, force=True)

@@ -10,11 +10,13 @@ lock and readers only ever see consistent snapshots.
 
 from __future__ import annotations
 
+import math
 import re
 import threading
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..core.config import ComPLxConfig
 from ..core.effort import effort_preset
 from .queue import BACKGROUND_PRIORITY
 
@@ -74,6 +76,24 @@ def _require(condition: bool, message: str) -> None:
         raise JobValidationError(message)
 
 
+def _non_finite_path(value: Any, path: str) -> str | None:
+    """The dotted path of the first NaN or infinity inside ``value``.
+
+    ``json.loads`` accepts ``NaN``, ``Infinity`` and ``-Infinity``; none
+    of them is a valid value for any field of a submission.
+    """
+    stack = [(value, path)]
+    while stack:
+        item, where = stack.pop()
+        if isinstance(item, float) and not math.isfinite(item):
+            return where
+        if isinstance(item, dict):
+            stack.extend((v, f"{where}.{k}") for k, v in item.items())
+        elif isinstance(item, list):
+            stack.extend((v, f"{where}[{i}]") for i, v in enumerate(item))
+    return None
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One validated placement job.
@@ -121,6 +141,9 @@ class JobSpec:
                  "max_retries", "include_placement", "effort"}
         unknown = sorted(set(payload) - known)
         _require(not unknown, f"unknown field(s): {', '.join(unknown)}")
+        for key in sorted(payload):
+            bad = _non_finite_path(payload[key], key)
+            _require(bad is None, f"{bad} must be a finite number")
 
         tenant = payload.get("tenant", default_tenant)
         _require(isinstance(tenant, str) and bool(_TENANT_RE.match(tenant)),
@@ -162,12 +185,20 @@ class JobSpec:
             _require(caster is not None,
                      f"config.{key} is not an overridable knob "
                      f"(allowed: {', '.join(sorted(CONFIG_OVERRIDES))})")
+            _require(caster is not str or isinstance(value, str),
+                     f"config.{key} must be a str")
             try:
                 clean_config[key] = caster(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise JobValidationError(
                     f"config.{key} must be a {caster.__name__}"
                 ) from None
+            _require(caster is not float or math.isfinite(clean_config[key]),
+                     f"config.{key} must be a finite number")
+        try:
+            ComPLxConfig(**clean_config)
+        except ValueError as exc:
+            raise JobValidationError(f"config: {exc}") from None
 
         effort = payload.get("effort")
         if effort is not None:
@@ -192,7 +223,11 @@ class JobSpec:
         if deadline is not None:
             _require(isinstance(deadline, (int, float)) and deadline > 0,
                      "deadline_seconds must be a positive number")
-            deadline = float(deadline)
+            try:
+                deadline = float(deadline)
+            except OverflowError:
+                raise JobValidationError(
+                    "deadline_seconds must be a finite number") from None
         retries = payload.get("max_retries")
         if retries is not None:
             _require(isinstance(retries, int) and 0 <= retries <= 10,

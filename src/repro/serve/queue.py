@@ -8,8 +8,9 @@ Unlike :class:`queue.PriorityQueue`, this queue
   worse,
 * supports O(log n) removal of cancelled jobs so a cancel reclaims the
   queue slot immediately,
-* reports its depth and the age of its oldest entry, which drive the
-  readiness probe and the degradation-tier selection.
+* reports its depth, which drives the readiness probe, and a backlog
+  drain estimate (:meth:`BoundedPriorityQueue.estimated_wait_seconds`),
+  which drives the degradation-tier selection.
 
 Orders by ``(priority, arrival ordinal)`` — lower priority numbers
 dispatch first, FIFO within a priority class.
@@ -42,7 +43,7 @@ class QueueFull(Exception):
 
 
 class BoundedPriorityQueue:
-    """Heap of ``(priority, seq, job_id, item)`` under one condition."""
+    """Heap of ``[priority, seq, job_id, item]`` under one condition."""
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -74,7 +75,7 @@ class BoundedPriorityQueue:
             if len(self._live) >= self.capacity:
                 raise QueueFull(self._retry_after_locked(workers))
             self._seq += 1
-            entry = [priority, self._seq, job_id, item, time.monotonic()]
+            entry = [priority, self._seq, job_id, item]
             self._live[job_id] = entry
             heapq.heappush(self._heap, entry)
             # notify_all: a waiter restricted to the interactive band may
@@ -145,23 +146,6 @@ class BoundedPriorityQueue:
         with self._lock:
             return len(self._live)
 
-    def interactive_depth(self) -> int:
-        """Queued entries in the interactive band only."""
-        with self._lock:
-            return sum(1 for entry in self._live.values()
-                       if entry[0] < BACKGROUND_PRIORITY)
-
-    def oldest_wait_seconds(self) -> float:
-        """Age of the oldest still-queued entry (0 when empty)."""
-        with self._lock:
-            oldest = None
-            for entry in self._live.values():
-                if oldest is None or entry[4] < oldest:
-                    oldest = entry[4]
-            if oldest is None:
-                return 0.0
-            return max(time.monotonic() - oldest, 0.0)
-
     def note_service_seconds(self, seconds: float) -> None:
         """Fold one completed job's service time into the EWMA."""
         with self._lock:
@@ -170,7 +154,7 @@ class BoundedPriorityQueue:
             )
 
     def estimated_wait_seconds(self, workers: int) -> float:
-        """Backlog drain estimate used for tier selection / Retry-After."""
+        """Backlog drain estimate used for tier selection."""
         with self._lock:
             return self._estimated_wait_locked(workers)
 

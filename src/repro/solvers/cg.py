@@ -183,31 +183,6 @@ def record_cg_solve(registry: telemetry.MetricsRegistry,
         history.values = [float(v) for v in result.residual_history]
 
 
-def solve_spd_quiet(
-    matrix: sp.csr_matrix,
-    rhs: np.ndarray,
-    x0: np.ndarray | None = None,
-    tol: float = 1e-6,
-    max_iter: int | None = None,
-    backend: str = "own",
-    collect_residuals: bool = False,
-) -> CGResult:
-    """Thread-safe solve core: fault hooks + backend dispatch only.
-
-    This is the entry point for code running off the main thread (the
-    parallel per-axis solver): it contains no telemetry at all, so the
-    worker-reachable call graph stays clear of the tracer's
-    main-thread-only span stack and of the metrics registry.  The
-    fault-plan hit counters it does touch are lock-guarded
-    (:meth:`repro.faults.plan.FaultPlan.hit`).
-    """
-    fault_hooks.maybe_raise("cg.non_spd")
-    if fault_hooks.fire("cg.stall") is not None:
-        return _stalled_result(rhs, x0)
-    return _dispatch(matrix, rhs, x0, tol, max_iter, backend,
-                     collect_residuals=collect_residuals)
-
-
 def solve_spd(
     matrix: sp.csr_matrix,
     rhs: np.ndarray,
@@ -215,35 +190,23 @@ def solve_spd(
     tol: float = 1e-6,
     max_iter: int | None = None,
     backend: str = "own",
-    quiet: bool = False,
-    collect_residuals: bool = False,
 ) -> CGResult:
     """Solve an SPD system with the selected backend (``own``/``scipy``).
 
-    ``quiet=True`` delegates to :func:`solve_spd_quiet` — no telemetry
-    span or metric updates, required when the call runs off the main
-    thread; the parallel per-axis solver wraps the pair of quiet solves
-    in a single main-thread span and records their metrics from the
-    main thread via :func:`record_cg_solve`.  ``collect_residuals``
-    asks the own backend for the residual trajectory; instrumented
-    non-quiet solves turn it on automatically when a metrics registry is
-    installed.
+    Each solve is one ``cg_solve`` span; when a metrics registry is
+    installed the own backend also collects the residual trajectory and
+    :func:`record_cg_solve` folds the solve into the registry.
     """
-    if quiet:
-        return solve_spd_quiet(matrix, rhs, x0=x0, tol=tol,
-                               max_iter=max_iter, backend=backend,
-                               collect_residuals=collect_residuals)
     fault_hooks.maybe_raise("cg.non_spd")
     stalled = fault_hooks.fire("cg.stall") is not None
     registry = telemetry.get_metrics()
-    collect = collect_residuals or registry is not None
     with telemetry.span("cg_solve", backend=backend,
                         size=int(rhs.shape[0])) as sp_:
         if stalled:
             result = _stalled_result(rhs, x0)
         else:
             result = _dispatch(matrix, rhs, x0, tol, max_iter, backend,
-                               collect_residuals=collect)
+                               collect_residuals=registry is not None)
         sp_.annotate("iterations", result.iterations)
         sp_.annotate("residual", result.residual)
         sp_.annotate("converged", result.converged)

@@ -12,7 +12,6 @@ from .baseline import (
     BaselineVersionError,
     apply_baseline,
     fingerprint_findings,
-    migrate_baseline,
 )
 from .driver import AnalysisResult, analyze_paths, analyze_sources
 from .engine import (
@@ -45,7 +44,6 @@ __all__ = [
     "apply_baseline",
     "check_source",
     "fingerprint_findings",
-    "migrate_baseline",
     "render_json",
     "render_sarif",
     "render_text",

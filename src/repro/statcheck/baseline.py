@@ -11,8 +11,8 @@ path) but die when the flagged code itself changes.
 
 Format v2 keys fingerprints on the module instead of the scan path (the
 v1 scheme made the same finding hash differently depending on the
-working directory).  v1 files are rejected with a pointer to the
-one-shot ``--migrate-baseline`` command.
+working directory).  v1 files are rejected; regenerate them with
+``--write-baseline``.
 
 Rules with ``allow_baseline = False`` (R1 float-eq, R5 no-print) are
 never suppressed even when a fingerprint matches: those classes of bugs
@@ -34,7 +34,6 @@ __all__ = [
     "BaselineVersionError",
     "apply_baseline",
     "fingerprint_findings",
-    "migrate_baseline",
 ]
 
 _FORMAT_VERSION = 2
@@ -53,11 +52,6 @@ def _module_of(path: str) -> str:
 
 def _digest(rule: str, module: str, line_text: str, occurrence: int) -> str:
     payload = f"{rule}|{module}|{line_text.strip()}|{occurrence}"
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def _digest_v1(rule: str, path: str, line_text: str, occurrence: int) -> str:
-    payload = f"{rule}|{path}|{line_text.strip()}|{occurrence}"
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -107,21 +101,6 @@ def fingerprint_findings(
     return out
 
 
-def _fingerprint_findings_v1(
-    findings: Iterable[Finding],
-) -> list[tuple[Finding, str]]:
-    """Legacy v1 fingerprints (path-keyed) — migration only."""
-    counters: dict[tuple[str, str, str], int] = {}
-    out: list[tuple[Finding, str]] = []
-    for finding, text in _line_texts(findings, None):
-        key = (finding.rule, finding.path, text.strip())
-        occurrence = counters.get(key, 0)
-        counters[key] = occurrence + 1
-        out.append((finding, _digest_v1(finding.rule, finding.path,
-                                        text, occurrence)))
-    return out
-
-
 @dataclass
 class Baseline:
     """The set of accepted fingerprints, with enough metadata to review."""
@@ -134,9 +113,9 @@ class Baseline:
         version = raw.get("version")
         if version == 1:
             raise BaselineVersionError(
-                f"{path} is a v1 baseline; run "
-                "`python -m repro.statcheck --migrate-baseline` once to "
-                "convert it to the v2 fingerprint format"
+                f"{path} is a v1 baseline; regenerate it in the v2 "
+                "fingerprint format with "
+                "`python -m repro.statcheck src/ --write-baseline`"
             )
         if version != _FORMAT_VERSION:
             raise BaselineVersionError(
@@ -177,34 +156,6 @@ class Baseline:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-def migrate_baseline(
-    path: str | Path,
-    findings: list[Finding],
-) -> tuple[Baseline, int]:
-    """One-shot v1 -> v2 conversion.
-
-    Re-runs the match against the *current* findings: every finding the
-    v1 file suppressed gets a fresh v2 fingerprint; v1 entries that no
-    longer match anything are dropped (the code they pointed at is
-    gone).  Returns the new baseline and the number of v1 entries that
-    did not survive.
-    """
-    raw = json.loads(Path(path).read_text())
-    if raw.get("version") != 1:
-        raise BaselineVersionError(
-            f"{path} is not a v1 baseline (version={raw.get('version')!r})"
-        )
-    old = {e["fingerprint"] for e in raw.get("findings", [])}
-    still_matched = [
-        finding
-        for finding, fp in _fingerprint_findings_v1(findings)
-        if fp in old
-    ]
-    migrated = Baseline.from_findings(still_matched)
-    dropped = len(old) - len(migrated)
-    return migrated, dropped
 
 
 def apply_baseline(

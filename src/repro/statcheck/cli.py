@@ -14,7 +14,6 @@ from .baseline import (
     Baseline,
     BaselineVersionError,
     apply_baseline,
-    migrate_baseline,
 )
 from .cache import DEFAULT_CACHE
 from .driver import analyze_paths
@@ -63,9 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--write-baseline", action="store_true",
                         help="write all current findings to the baseline "
                              "file and exit 0")
-    parser.add_argument("--migrate-baseline", action="store_true",
-                        help="one-shot: convert a v1 baseline file to the "
-                             "v2 fingerprint format and exit")
     parser.add_argument("--enable", action="append", default=[],
                         metavar="IDS", help="only run these rule ids")
     parser.add_argument("--disable", action="append", default=[],
@@ -111,17 +107,6 @@ def main(argv: list[str] | None = None) -> int:
     findings, errors = result.findings, result.errors
 
     baseline_path = args.baseline or DEFAULT_BASELINE
-    if args.migrate_baseline:
-        try:
-            migrated, dropped = migrate_baseline(baseline_path, findings)
-        except (OSError, ValueError) as exc:
-            parser.error(f"cannot migrate {baseline_path}: {exc}")
-        migrated.write(baseline_path)
-        print(f"migrated {baseline_path} to v2: {len(migrated)} entr"
-              f"{'y' if len(migrated) == 1 else 'ies'} kept, "
-              f"{dropped} dropped")
-        return 0
-
     if args.write_baseline:
         Baseline.from_findings(findings).write(baseline_path)
         print(f"wrote {len(findings)} finding(s) to {baseline_path}")

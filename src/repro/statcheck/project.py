@@ -1130,8 +1130,3 @@ class ProjectModel:
                     if node in sources:
                         break
         return sources
-
-
-def build_model(summaries: Iterable[FileSummary]) -> ProjectModel:
-    """Convenience constructor used by the driver and the tests."""
-    return ProjectModel(summaries)

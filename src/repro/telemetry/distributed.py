@@ -19,16 +19,16 @@ result, nothing more.  Four cooperating pieces fix that:
   :class:`~repro.telemetry.MetricsRegistry` and, at natural flush
   points (per-iteration progress callbacks, the terminal message),
   builds a bounded *telemetry frame*: the span records completed since
-  the last frame, series increments, gauge values and counter deltas.
+  the last frame, gauge values and counter deltas (per-iteration series
+  ride in the worker's result, which carries its whole registry).
   Budgets are enforced per frame and per worker; overflow is *counted*,
   never silent.
 * :class:`TraceMerger` — the parent side.  Accumulates frames per
   worker plus the parent's own spans and renders one Chrome-trace
   document for the whole job/race: parent on pid 1, each worker on its
-  context's lane pid with a named process, worker-internal thread
-  lanes (the PR 4 per-axis solver tids) preserved.  The merge is a
-  pure function of the observed frames, so re-rendering the same
-  evidence is byte-identical — tested.
+  context's lane pid with a named process.  The merge is a pure
+  function of the observed frames, so re-rendering the same evidence
+  is byte-identical — tested.
 * :class:`FleetAggregator` — the rollup.  Folds every worker's frames
   into one fleet-wide registry snapshot: counters sum, gauges keep
   last-and-max, span durations feed bounded per-stage reservoirs that
@@ -40,8 +40,7 @@ Wire format (one frame)::
 
     {"v": 1, "trace_id": ..., "worker": ..., "lane": 3, "seq": 2,
      "epoch": 12345.678,            # perf_counter at tracer origin
-     "spans": [<SpanRecord.to_json() + "tid">, ...],
-     "series": {"lam": {"iterations": [...], "values": [...]}, ...},
+     "spans": [<SpanRecord.to_json()>, ...],
      "gauges": {...}, "counters": {...},
      "dropped_spans": 0}
 
@@ -156,8 +155,8 @@ class TelemetryShipper:
     beyond a budget are dropped *newest-last* (the early spans describe
     setup, the steady-state loop is self-similar) and counted in the
     frame's ``dropped_spans`` so the parent can surface the loss.
-    Series increments, gauges and counters are small by construction
-    (one float per name per flush) and ship unbounded.
+    Gauges and counters are small by construction (one float per name
+    per flush) and ship unbounded.
     """
 
     def __init__(self, context: TraceContext, tracer: Tracer,
@@ -169,7 +168,6 @@ class TelemetryShipper:
         self._seq = 0
         self._spans_sent = 0      # index into tracer.records
         self._total_shipped = 0   # span records shipped so far
-        self._series_sent: dict[str, int] = {}
         self._counters_seen: dict[str, float] = {}
         # Workers and the parent share CLOCK_MONOTONIC on the platforms
         # this repo targets, so shipping the tracer origin lets the
@@ -190,27 +188,7 @@ class TelemetryShipper:
             self.dropped_spans += len(new) - budget
             new = new[:budget]
         self._total_shipped += len(new)
-        out = []
-        for record in new:
-            doc = record.to_json()
-            doc["tid"] = record.tid
-            out.append(doc)
-        return out
-
-    def _collect_series(self) -> dict[str, dict[str, list[float]]]:
-        if self.registry is None:
-            return {}
-        out: dict[str, dict[str, list[float]]] = {}
-        for name in self.registry.series_names():
-            series = self.registry.series(name)
-            sent = self._series_sent.get(name, 0)
-            if len(series) > sent:
-                out[name] = {
-                    "iterations": list(series.iterations[sent:]),
-                    "values": list(series.values[sent:]),
-                }
-                self._series_sent[name] = len(series)
-        return out
+        return [record.to_json() for record in new]
 
     def _collect_scalars(self) -> tuple[dict[str, float], dict[str, float]]:
         if self.registry is None:
@@ -233,9 +211,8 @@ class TelemetryShipper:
         whose every span was shed.
         """
         spans = self._collect_spans()
-        series = self._collect_series()
         gauges, counters = self._collect_scalars()
-        if not (spans or series or gauges or counters or force):
+        if not (spans or gauges or counters or force):
             return None
         self._seq += 1
         frame: dict[str, Any] = {
@@ -245,7 +222,6 @@ class TelemetryShipper:
             "lane": self.context.lane,
             "seq": self._seq,
             "spans": spans,
-            "series": series,
             "gauges": gauges,
             "counters": counters,
             "dropped_spans": self.dropped_spans,
@@ -350,20 +326,13 @@ class TraceMerger:
         offset = 0.0
         if state["epoch"] is not None:
             offset = state["epoch"] - self.origin
-        events: list[dict[str, Any]] = []
-        tids = {1}
-        for doc in state["spans"]:
-            tids.add(int(doc.get("tid", 1)))
-        for tid in sorted(tids):
-            name = "main" if tid == 1 else f"solver-{tid}"
-            events.append({
-                "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
-                "args": {"name": name},
-            })
-            events.append({
-                "name": "thread_sort_index", "ph": "M", "pid": pid,
-                "tid": tid, "args": {"sort_index": tid},
-            })
+        events: list[dict[str, Any]] = [{
+            "name": "thread_name", "ph": "M", "pid": pid, "tid": 1,
+            "args": {"name": "main"},
+        }, {
+            "name": "thread_sort_index", "ph": "M", "pid": pid, "tid": 1,
+            "args": {"sort_index": 1},
+        }]
         spans = sorted(state["spans"],
                        key=lambda d: (float(d.get("start_s", 0.0)),
                                       d.get("name", "")))
@@ -374,7 +343,7 @@ class TraceMerger:
                 "ph": "X" if doc.get("phase", "span") == "span" else "i",
                 "ts": (float(doc.get("start_s", 0.0)) + offset) * 1e6,
                 "pid": pid,
-                "tid": int(doc.get("tid", 1)),
+                "tid": 1,
                 "args": dict(doc.get("attrs", {})),
             }
             if doc.get("parent"):

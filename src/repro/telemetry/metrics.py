@@ -109,11 +109,6 @@ class Series:
     def iteration_array(self) -> np.ndarray:
         return np.asarray(self.iterations, dtype=np.int64)
 
-    def truncate(self, length: int) -> None:
-        """Drop entries beyond ``length`` (supervisor rollback support)."""
-        del self.iterations[length:]
-        del self.values[length:]
-
     def to_json(self) -> dict[str, Any]:
         return {"kind": "series", "name": self.name,
                 "iterations": self.iterations, "values": self.values}
@@ -169,11 +164,6 @@ class MetricsRegistry:
         """Record one value into several series at the same iteration."""
         for name, value in values.items():
             self.series(name).record(iteration, value)
-
-    def truncate_series(self, length: int) -> None:
-        """Trim every series to ``length`` entries (rollback support)."""
-        for series in self._series.values():
-            series.truncate(length)
 
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry into this one.

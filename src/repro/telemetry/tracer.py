@@ -60,7 +60,6 @@ class SpanRecord:
     parent: str | None = None  # name of the enclosing open span
     phase: str = "span"       # "span" | "instant"
     attrs: dict[str, Any] = field(default_factory=dict)
-    tid: int = 1              # logical thread lane (1 = main thread)
 
     def to_json(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -72,8 +71,6 @@ class SpanRecord:
             "parent": self.parent,
             "phase": self.phase,
         }
-        if self.tid != 1:
-            out["tid"] = self.tid
         if self.attrs:
             out["attrs"] = self.attrs
         return out
@@ -207,17 +204,15 @@ class Tracer:
         start: float,
         end: float,
         cpu_s: float = 0.0,
-        tid: int = 1,
         **attrs: Any,
     ) -> None:
         """Append a span timed externally (``time.perf_counter`` values).
 
         The span stack is not thread-safe, so code running work off the
         main thread times it locally and records the completed interval
-        from the main thread afterwards.  ``tid`` places the span on its
-        own lane in the Chrome-trace export so concurrent work renders
-        side by side.  Depth/parent come from the *current* main-thread
-        stack — call this while the logical parent span is still open.
+        from the main thread afterwards.  Depth/parent come from the
+        *current* stack — call this while the logical parent span is
+        still open.
         """
         self.records.append(SpanRecord(
             name=name,
@@ -227,7 +222,6 @@ class Tracer:
             depth=len(self._stack),
             parent=self._stack[-1].name if self._stack else None,
             attrs=attrs,
-            tid=tid,
         ))
 
     def _close(self, live: _Span, end: float, cpu_end: float) -> None:
@@ -292,21 +286,16 @@ class Tracer:
     def chrome_trace_events(self) -> list[dict[str, Any]]:
         """The Chrome-trace event list: process/thread metadata first,
         then spans/instants chronologically."""
-        tids = sorted({record.tid for record in self.records} | {1})
         events: list[dict[str, Any]] = [{
             "name": "process_name", "ph": "M", "pid": 1, "tid": 1,
             "args": {"name": "repro placer"},
+        }, {
+            "name": "thread_name", "ph": "M", "pid": 1, "tid": 1,
+            "args": {"name": "main"},
+        }, {
+            "name": "thread_sort_index", "ph": "M", "pid": 1, "tid": 1,
+            "args": {"sort_index": 1},
         }]
-        for tid in tids:
-            name = "main" if tid == 1 else f"solver-{tid}"
-            events.append({
-                "name": "thread_name", "ph": "M", "pid": 1, "tid": tid,
-                "args": {"name": name},
-            })
-            events.append({
-                "name": "thread_sort_index", "ph": "M", "pid": 1,
-                "tid": tid, "args": {"sort_index": tid},
-            })
         for record in sorted(self.records, key=lambda r: r.start_s):
             event: dict[str, Any] = {
                 "name": record.name,
@@ -314,7 +303,7 @@ class Tracer:
                 "ph": "X" if record.phase == "span" else "i",
                 "ts": record.start_s * 1e6,
                 "pid": 1,
-                "tid": record.tid,
+                "tid": 1,
                 "args": dict(record.attrs),
             }
             if record.phase == "span":

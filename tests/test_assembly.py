@@ -175,8 +175,8 @@ class ReferencePlan:
         )
 
 
-def _run_placer(netlist, monkeypatch=None, reference=False, threads=1):
-    config = ComPLxConfig(max_iterations=8, seed=7, solver_threads=threads)
+def _run_placer(netlist, monkeypatch=None, reference=False):
+    config = ComPLxConfig(max_iterations=8, seed=7)
     placer = ComPLxPlacer(netlist, config)
     if reference:
         placer._plan = ReferencePlan(netlist, config.net_model,
@@ -201,17 +201,6 @@ class TestFullRunRegression:
                                   getattr(ref, attr).y)
         assert (fast.history.records[-1].phi_upper
                 == ref.history.records[-1].phi_upper)
-
-    def test_two_thread_run_matches_single_thread_hpwl(self, design):
-        one = _run_placer(design, threads=1)
-        two = _run_placer(design, threads=2)
-        assert (two.history.records[-1].phi_upper
-                == one.history.records[-1].phi_upper)
-        for attr in ("lower", "upper"):
-            assert np.array_equal(getattr(one, attr).x,
-                                  getattr(two, attr).x)
-            assert np.array_equal(getattr(one, attr).y,
-                                  getattr(two, attr).y)
 
 
 class TestPinNetIdsMemoization:

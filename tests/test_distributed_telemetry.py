@@ -26,11 +26,11 @@ from repro.telemetry import (
 )
 
 
-def make_frame(worker="w1", lane=2, seq=1, *, spans=(), series=None,
-               gauges=None, counters=None, dropped=0, epoch=None):
+def make_frame(worker="w1", lane=2, seq=1, *, spans=(), gauges=None,
+               counters=None, dropped=0, epoch=None):
     frame = {
         "v": 1, "trace_id": "t", "worker": worker, "lane": lane,
-        "seq": seq, "spans": list(spans), "series": series or {},
+        "seq": seq, "spans": list(spans),
         "gauges": gauges or {}, "counters": counters or {},
         "dropped_spans": dropped,
     }
@@ -39,10 +39,9 @@ def make_frame(worker="w1", lane=2, seq=1, *, spans=(), series=None,
     return frame
 
 
-def span_doc(name="solve", start=0.0, dur=0.1, tid=1, **attrs):
+def span_doc(name="solve", start=0.0, dur=0.1, **attrs):
     doc = {"name": name, "start_s": start, "duration_s": dur,
-           "cpu_s": dur, "depth": 0, "parent": None, "phase": "span",
-           "tid": tid}
+           "cpu_s": dur, "depth": 0, "parent": None, "phase": "span"}
     if attrs:
         doc["attrs"] = attrs
     return doc
@@ -152,18 +151,6 @@ class TestTelemetryShipper:
         assert shipper.flush_frame()["counters"] == {"iters": 3.0}
         registry.counter("iters").inc(2)
         assert shipper.flush_frame()["counters"] == {"iters": 2.0}
-
-    def test_series_ship_increments_only(self):
-        registry = MetricsRegistry()
-        shipper = TelemetryShipper(self.ctx(), Tracer(), registry)
-        registry.series("lam").record(1, 0.5)
-        first = shipper.flush_frame()
-        assert first["series"]["lam"] == {
-            "iterations": [1], "values": [0.5]}
-        registry.series("lam").record(2, 0.7)
-        second = shipper.flush_frame()
-        assert second["series"]["lam"] == {
-            "iterations": [2], "values": [0.7]}
 
     def test_frames_are_json_safe(self):
         tracer = Tracer()

@@ -1,6 +1,6 @@
 """Deep health probes: CG residual histories, projection snapshots,
-displacement histograms, memory gauges, thread-lane trace export — and
-the zero-overhead guarantee when telemetry is disabled."""
+displacement histograms, memory gauges — and the zero-overhead
+guarantee when telemetry is disabled."""
 
 from __future__ import annotations
 
@@ -128,35 +128,6 @@ class TestPlacementProbes:
     def test_memory_probe_is_noop_without_registry(self):
         assert telemetry.get_metrics() is None
         telemetry.record_stage_memory("nothing")  # must not raise
-
-
-class TestThreadedSolveTrace:
-    def test_worker_spans_get_their_own_lanes(self, small_design):
-        tracer = Tracer()
-        config = ComPLxConfig(seed=1, solver_threads=2, max_iterations=4)
-        with telemetry.tracing(tracer), telemetry.metrics() as registry:
-            ComPLxPlacer(small_design.netlist, config).place()
-        axis_spans = tracer.spans("cg_solve_axis")
-        assert {s.tid for s in axis_spans} == {2, 3}
-        assert {s.attrs["axis"] for s in axis_spans} == {"x", "y"}
-        # Metrics recorded from the main thread for both axes per call.
-        assert registry.counters()["cg_solves"] == 2 * len(
-            tracer.spans("cg_solve"))
-        events = tracer.chrome_trace_events()
-        lanes = {e["args"]["name"] for e in events
-                 if e["name"] == "thread_name"}
-        assert lanes == {"main", "solver-2", "solver-3"}
-
-    def test_threaded_solve_matches_sequential(self, small_design):
-        seq = ComPLxPlacer(small_design.netlist,
-                           ComPLxConfig(seed=1, max_iterations=6)).place()
-        with telemetry.metrics():
-            par = ComPLxPlacer(
-                small_design.netlist,
-                ComPLxConfig(seed=1, max_iterations=6,
-                             solver_threads=2)).place()
-        assert np.array_equal(seq.upper.x, par.upper.x)
-        assert np.array_equal(seq.upper.y, par.upper.y)
 
 
 class TestZeroOverheadWhenDisabled:

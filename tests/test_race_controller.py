@@ -100,7 +100,7 @@ class TestRace:
             (out.hpwl_upper, vid) for vid, out in result.outcomes.items())[1]
 
         # the raced winner is bit-identical to the same config run
-        # standalone: shared-plan adoption and the worker change nothing
+        # standalone: the worker process changes nothing
         winner = result.winner_outcome
         assert winner is not None and winner.placement is not None
         config = winner.spec.config(ComPLxConfig())
@@ -123,6 +123,28 @@ class TestRace:
 
         assert summary(again) == summary(result)
         assert again.winner == result.winner
+
+    def test_spawned_race_matches_the_forked_race(self, netlist):
+        # A spawned worker inherits no parent state: the netlist must
+        # reach it through the payload.
+        portfolio = build_portfolio(seeds=(5,), base_overrides=HONEST)
+        assert len(portfolio) == 2
+        races = {method: RaceController(portfolio, netlist=netlist,
+                                        max_workers=2,
+                                        start_method=method).execute()
+                 for method in ("fork", "spawn")}
+        forked, spawned = races["fork"], races["spawn"]
+
+        for result in (forked, spawned):
+            assert sorted(result.outcomes) == ["base", "s5"]
+            assert all(out.status == "finished"
+                       for out in result.outcomes.values())
+        assert spawned.winner is not None
+        assert spawned.winner == forked.winner
+        for vid, out in forked.outcomes.items():
+            twin = spawned.outcomes[vid]
+            assert twin.hpwl_upper == out.hpwl_upper
+            assert twin.placement == out.placement
 
     @pytest.mark.chaos
     def test_crash_is_retried_once_and_recovers(self, netlist):

@@ -186,6 +186,24 @@ class TestValidationErrors:
             urllib.request.urlopen(req, timeout=10.0)
         assert info.value.code == 400
 
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_override_400s_and_counts_as_invalid(self, base,
+                                                           literal):
+        def rejected_invalid():
+            _, _, doc = request("GET", f"{base}/metricz")
+            return {c["name"]: c["value"] for c in doc["counters"]
+                    }.get("rejected_invalid", 0.0)
+
+        before = rejected_invalid()
+        # json.dumps writes a non-finite float as the bare literal that
+        # json.loads on the server accepts.
+        status, _, body = request(
+            "POST", f"{base}/v1/jobs",
+            payload(config={"max_iterations": float(literal)}))
+        assert status == 400
+        assert "config.max_iterations" in body["error"]
+        assert rejected_invalid() == before + 1
+
 
 class TestOverload:
     def test_burst_gets_429_with_retry_after(self, tmp_path):

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import math
 import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import ComPLxConfig
 from repro.serve.config import DEFAULT_TIERS, DegradationTier, ServeConfig
-from repro.serve.jobs import JobRecord, JobSpec, JobState, JobValidationError
+from repro.serve.jobs import (CONFIG_OVERRIDES, JobRecord, JobSpec,
+                              JobState, JobValidationError)
 from repro.serve.queue import (BACKGROUND_PRIORITY, BoundedPriorityQueue,
                                QueueFull)
 from repro.serve.tenants import RateLimited, TenantTable
@@ -102,13 +109,12 @@ class TestPriorityBands:
         # the background entry is still queued, not lost
         assert q.get(0.1) == "bg"
 
-    def test_interactive_depth_counts_only_the_interactive_band(self):
+    def test_depth_counts_both_bands(self):
         q = BoundedPriorityQueue(capacity=8)
         q.put("bg1", BACKGROUND_PRIORITY, "bg1")
         q.put("bg2", BACKGROUND_PRIORITY + 5, "bg2")
         q.put("fg", 3, "fg")
         assert q.depth() == 3
-        assert q.interactive_depth() == 1
 
     def test_closed_queue_still_drains_background(self):
         q = BoundedPriorityQueue(capacity=8)
@@ -240,6 +246,57 @@ class TestJobSpec:
     def test_payload_must_be_object(self):
         with pytest.raises(JobValidationError):
             JobSpec.from_payload(["nope"], "j-1")  # type: ignore[arg-type]
+
+
+#: Any JSON value ``json.loads`` can return, NaN and infinities included.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner,
+                                     max_size=3)),
+    max_leaves=6,
+)
+#: Numbers first: most fields and every override are numeric, and the
+#: three non-finite literals are what ``json.loads`` lets through.
+_JUNK = st.sampled_from([math.inf, -math.inf, math.nan]) | st.integers() \
+    | st.floats(allow_nan=True, allow_infinity=True) | _JSON
+#: Mostly well-formed workloads, so validation gets past them.
+_WORKLOADS = (
+    st.fixed_dictionaries({"kind": st.just("synthetic"),
+                           "num_cells": st.just(20)},
+                          optional={"seed": _JUNK, "bogus": _JUNK})
+    | st.fixed_dictionaries({"kind": st.just("suite"),
+                             "suite": st.just("adaptec1_s")},
+                            optional={"scale": _JUNK})
+    | _JSON
+)
+_PAYLOADS = st.fixed_dictionaries(
+    {
+        "workload": _WORKLOADS,
+        "config": st.dictionaries(
+            st.sampled_from(sorted(CONFIG_OVERRIDES)) | st.text(max_size=6),
+            _JUNK, max_size=4) | _JSON,
+    },
+    optional={key: _JUNK for key in (
+        "tenant", "name", "priority", "legalizer", "detailed",
+        "deadline_seconds", "max_retries", "include_placement", "effort",
+        "bogus")},
+) | _JSON
+
+
+class TestJobSpecFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(_PAYLOADS)
+    def test_junk_gives_a_spec_or_a_validation_error(self, payload):
+        try:
+            spec = JobSpec.from_payload(payload, "j-fuzz")
+        except JobValidationError:
+            return
+        # What passes validation is strict JSON and a config the placer
+        # accepts.
+        json.dumps(dataclasses.asdict(spec), allow_nan=False)
+        ComPLxConfig(**spec.config)
 
 
 class TestJobRecord:

@@ -20,12 +20,13 @@ import pytest
 
 import repro.serve.api
 from repro.race.portfolio import build_portfolio
-from repro.race.worker import clear_shared, run_variant
+from repro.race.worker import run_variant
 from repro.runs import RunRegistry
 from repro.serve import PlacementService, ServeConfig
 from repro.serve.jobs import JobSpec
 from repro.serve.worker import run_job
 from repro.telemetry import TraceContext
+from repro.workloads import SyntheticSpec, generate
 
 
 def request(method, url, payload=None, tenant="t1", headers=None):
@@ -438,9 +439,9 @@ class TestFramesOffByteIdentity:
         [spec] = [s for s in build_portfolio(
             base_overrides={"max_iterations": 6})
             if s.variant_id == "base"]
-        return {"variant": dataclasses.asdict(spec),
-                "workload": {"kind": "synthetic", "num_cells": 30,
-                             "seed": 5}}
+        netlist = generate(SyntheticSpec(name="adhoc", num_cells=30,
+                                         seed=5)).netlist
+        return {"variant": dataclasses.asdict(spec), "netlist": netlist}
 
     def test_race_worker_output_is_identical(self):
         class Conn:
@@ -450,7 +451,6 @@ class TestFramesOffByteIdentity:
             def send(self, message):
                 self.sent.append(message)
 
-        clear_shared()
         off = Conn()
         body_off = run_variant(self._race_payload(), off)
         traced = self._race_payload()

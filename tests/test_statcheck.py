@@ -16,6 +16,7 @@ import pytest
 from repro.statcheck import check_source, run_paths
 from repro.statcheck.baseline import (
     Baseline,
+    BaselineVersionError,
     apply_baseline,
     fingerprint_findings,
 )
@@ -535,6 +536,13 @@ class TestBaseline:
         assert len(Baseline.load(path)) == 0
         path.write_text(json.dumps({"version": 99, "findings": []}))
         with pytest.raises(ValueError, match="version"):
+            Baseline.load(path)
+
+    def test_v1_baseline_is_rejected_with_the_regeneration_command(
+            self, tmp_path):
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps({"version": 1, "findings": []}))
+        with pytest.raises(BaselineVersionError, match="--write-baseline"):
             Baseline.load(path)
 
 

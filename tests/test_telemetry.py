@@ -266,14 +266,6 @@ class TestMetricsRegistry:
         assert back.counters() == {"n": 3.0}
         assert back.series("pi").values == [7.0]
 
-    def test_truncate_series_rollback(self):
-        reg = MetricsRegistry()
-        for k in range(5):
-            reg.record_iteration(k, pi=float(k))
-        reg.truncate_series(3)
-        assert len(reg.series("pi")) == 3
-        assert reg.series("pi").iterations == [0, 1, 2]
-
     def test_merge(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         a.counter("c").inc(1)
