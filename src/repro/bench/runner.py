@@ -17,9 +17,10 @@ from typing import Any
 from .. import telemetry
 from ..core.convergence import trajectory_summary
 from ..experiments.common import make_placer
-from ..legalize import abacus_legalize
+from ..flow import legalize_and_detail
 from ..metrics import scaled_hpwl
 from ..models import hpwl
+from ..report import record_stage_totals
 from ..workloads import load_suite
 from .schema import REQUIRED_SERIES, SCHEMA_VERSION
 from .suites import BenchCase, get_suite
@@ -34,18 +35,16 @@ def _one_run(case: BenchCase, netlist) -> tuple[dict[str, Any], Any, Any, Any]:
                          seed=case.seed, effort=case.effort)
     with telemetry.tracing() as tracer, telemetry.metrics() as registry:
         result = placer.place()
-        legal = abacus_legalize(netlist, result.upper)
-    totals = {name: stats for name, stats in tracer.aggregate().items()}
+        legal, _ = legalize_and_detail(netlist, result.upper, "abacus",
+                                       detailed=False)
     # Fold the per-iteration series in with the cross-stage
     # counters/gauges and stage totals so the registry is
     # report-complete on its own.
     registry.merge(result.metrics)
     registry.meta["netlist"] = netlist.name
     registry.meta["placer"] = case.placer
-    for name, stats in sorted(totals.items()):
-        registry.gauge(f"stage_{name}_total_s").set(stats.total_s)
-        registry.gauge(f"stage_{name}_count").set(float(stats.count))
-    return totals, result, legal, registry
+    record_stage_totals(registry, tracer)
+    return tracer.aggregate(), result, legal, registry
 
 
 def run_case(

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import logging
 import os
 import sys
@@ -28,21 +27,15 @@ from . import telemetry
 from .analysis import analyze_placement
 from .core.config import ResilienceConfig
 from .core.effort import effort_preset
-from .detailed import DetailedPlacer
-from .diagnostics import diagnose
 from .experiments.common import make_placer
-from .legalize import abacus_legalize, tetris_legalize
+from .flow import density_map, legalize_and_detail, run_report
 from .models import hpwl
 from .netlist.bookshelf import BookshelfError, read_aux, write_aux
-from .projection.grid import DensityGrid, default_grid_shape
-from .report import build_report, record_stage_totals, render_html, \
-    run_fingerprints, write_report
-from .resilience import CheckpointError, legalize_with_fallback
+from .report import build_report, render_html, write_report
+from .resilience import CheckpointError, RecoveryLog
 from .runs import RunRegistry
 from .viz import placement_svg
 from .workloads import load_suite, suite_names
-
-LEGALIZERS = {"tetris": tetris_legalize, "abacus": abacus_legalize}
 
 
 def _add_place_args(parser: argparse.ArgumentParser) -> None:
@@ -60,7 +53,7 @@ def _add_place_args(parser: argparse.ArgumentParser) -> None:
                              "filling in iteration/CG budgets, the "
                              "gap_tolerance finish line, and the "
                              "legalizer/DP defaults; explicit flags win")
-    parser.add_argument("--legalizer", choices=sorted(LEGALIZERS),
+    parser.add_argument("--legalizer", choices=("abacus", "tetris"),
                         default=None,
                         help="legalizer (default: abacus, or the "
                              "--effort preset's choice)")
@@ -107,14 +100,6 @@ def _add_place_args(parser: argparse.ArgumentParser) -> None:
                         help="archive the run (metrics, manifest, report, "
                              "trace) under DIR/<design>-NNNN/ for later "
                              "'python -m repro.runs diff'")
-
-
-def _legalizer_chain(preferred: str) -> list[tuple[str, object]]:
-    """Preferred legalizer first, tetris as the degraded fallback."""
-    chain = [(preferred, LEGALIZERS[preferred])]
-    if preferred != "tetris":
-        chain.append(("tetris", tetris_legalize))
-    return chain
 
 
 def cmd_place(args: argparse.Namespace) -> int:
@@ -194,24 +179,15 @@ def _place_flow(args: argparse.Namespace) -> int:
     if recovery_events:
         print(f"recovery: {resilience_report['summary']}")
 
-    chain = _legalizer_chain(legalizer)
+    log = RecoveryLog()
     t1 = time.perf_counter()
-    if skip_detailed:
-        final, used = legalize_with_fallback(
-            netlist, result.upper, chain,
-            check_invariants=args.check_invariants,
-        )
-        if used != legalizer:
-            print(f"legalizer degraded: {legalizer} -> {used}")
-    else:
-        def chained_legalizer(nl, placement, check_invariants=False):
-            legal, _ = legalize_with_fallback(
-                nl, placement, chain, check_invariants=check_invariants,
-            )
-            return legal
-
-        dp = DetailedPlacer(netlist, legalizer=chained_legalizer)
-        final = dp.place(result.upper)
+    final, used = legalize_and_detail(
+        netlist, result.upper, legalizer, not skip_detailed,
+        check_invariants=args.check_invariants, log=log,
+    )
+    if used != legalizer:
+        print(f"legalizer degraded: {legalizer} -> {used}")
+    recovery_events = recovery_events + log.as_dicts()
     print(f"legalization+DP: HPWL {hpwl(netlist, final):.1f} "
           f"[{time.perf_counter() - t1:.1f}s]")
 
@@ -227,42 +203,25 @@ def _place_flow(args: argparse.Namespace) -> int:
                       title=f"{netlist.name} ({args.placer})")
         print(f"wrote {args.svg}")
 
-    if registry is not None and (args.report or args.run_dir):
-        _emit_run_report(args, netlist, placer, final, registry,
-                         recovery_events)
+    if registry is not None:
+        tracer = telemetry.get_tracer()
+        run = run_report(
+            registry, netlist, getattr(placer, "config", None), final,
+            tracer, gamma=args.gamma,
+            title=f"{netlist.name} ({args.placer})",
+            recovery_events=recovery_events,
+        )
+        if args.report:
+            write_report(args.report, run)
+            print(f"wrote {args.report}")
+            if not run.diagnosis.ok:
+                print(run.diagnosis.render())
+        if args.run_dir:
+            run_dir = RunRegistry(args.run_dir).capture(
+                registry, name=netlist.name,
+                report_html=render_html(run), tracer=tracer)
+            print(f"captured {run_dir}")
     return 0
-
-
-def _emit_run_report(args, netlist, placer, final, registry,
-                     recovery_events) -> None:
-    """Render the run report and/or archive the run (place --report /
-    --run-dir)."""
-    tracer = telemetry.get_tracer()
-    if tracer is not None:
-        record_stage_totals(registry, tracer)
-    if recovery_events:
-        registry.meta["recovery_events"] = json.dumps(recovery_events)
-    registry.meta.update(run_fingerprints(netlist,
-                                          getattr(placer, "config", None)))
-    bins = default_grid_shape(netlist.num_movable)
-    grid = DensityGrid(netlist, bins, bins)
-    density = grid.utilization(grid.usage(final), args.gamma)
-    diagnosis = diagnose(registry, config=getattr(placer, "config", None),
-                         recovery_events=recovery_events)
-    run_report = build_report(
-        registry, title=f"{netlist.name} ({args.placer})",
-        diagnosis=diagnosis, density=density,
-        recovery_events=recovery_events)
-    if args.report:
-        write_report(args.report, run_report)
-        print(f"wrote {args.report}")
-        if not diagnosis.ok:
-            print(diagnosis.render())
-    if args.run_dir:
-        run_dir = RunRegistry(args.run_dir).capture(
-            registry, name=netlist.name,
-            report_html=render_html(run_report), tracer=tracer)
-        print(f"captured {run_dir}")
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -291,11 +250,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             report.density.max_utilization)
         registry.gauge("net_hpwl_p95").set(report.net_lengths.p95)
         registry.gauge("legal").set(1.0 if report.legal else 0.0)
-        bins = default_grid_shape(netlist.num_movable)
-        grid = DensityGrid(netlist, bins, bins)
-        density = grid.utilization(grid.usage(placement), args.gamma)
         write_report(args.report, build_report(
-            registry, title=f"analysis: {netlist.name}", density=density))
+            registry, title=f"analysis: {netlist.name}",
+            density=density_map(netlist, placement, args.gamma)))
         print(f"wrote {args.report}")
     return 0
 

@@ -79,8 +79,8 @@ class RunHistory:
         """The telemetry view: one registry series per record field.
 
         Built fresh on every call — the record list stays authoritative
-        (checkpoint restore and supervisor rollback splice it directly),
-        so the registry is always derived, never stale.
+        (checkpoint restore and supervisor rollback replace it), so the
+        registry is always derived, never stale.
         """
         registry = MetricsRegistry()
         for name in SERIES_FIELDS:

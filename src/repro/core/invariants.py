@@ -327,7 +327,3 @@ class InvariantSuite:
         stage = "primal"
         check_finite(self.netlist, placement, stage, iteration)
         check_inside_core(self.netlist, placement, stage, iteration)
-
-    def after_legalization(self, placement: Placement,
-                           check_sites: bool = False) -> None:
-        assert_legal(self.netlist, placement, check_sites=check_sites)

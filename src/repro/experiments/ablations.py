@@ -21,8 +21,7 @@ from ..metrics import ComparisonTable
 from ..workloads import suite_entry
 from .common import load_design, results_dir
 from ..core import ComPLxPlacer
-from ..detailed import DetailedPlacer
-from ..legalize import tetris_legalize
+from ..flow import legalize_and_detail
 from ..models import hpwl
 
 
@@ -34,9 +33,8 @@ def _flow_with_config(netlist, config: ComPLxConfig) -> tuple[float, float, int]
     t0 = time.perf_counter()
     result = placer.place()
     gp = time.perf_counter() - t0
-    dp = DetailedPlacer(netlist, legalizer=tetris_legalize)
     t1 = time.perf_counter()
-    legal = dp.place(result.upper)
+    legal, _ = legalize_and_detail(netlist, result.upper, "tetris")
     dpt = time.perf_counter() - t1
     return hpwl(netlist, legal), gp + dpt, result.iterations
 

@@ -26,6 +26,7 @@ from ..core import (
     finest_grid_config,
 )
 from ..detailed import DetailedPlacer
+from ..flow import legalize_and_detail
 from ..legalize import tetris_legalize
 from ..metrics import scaled_hpwl
 from ..models import hpwl
@@ -128,19 +129,18 @@ def run_flow(
     placer_name: str,
     gamma: float = 1.0,
     seed: int = 0,
-    dp_rounds: int = 2,
     resilience=None,
 ) -> FlowResult:
-    """Global placement + legalization + detailed placement + metrics."""
+    """Global placement + tetris legalization + detailed placement +
+    metrics."""
     placer = make_placer(placer_name, netlist, gamma, seed,
                          resilience=resilience)
     t0 = time.perf_counter()
     result = placer.place()
     gp_seconds = time.perf_counter() - t0
 
-    dp = DetailedPlacer(netlist, legalizer=tetris_legalize)
     t1 = time.perf_counter()
-    legal = dp.place(result.upper)
+    legal, _ = legalize_and_detail(netlist, result.upper, "tetris")
     dp_seconds = time.perf_counter() - t1
 
     metric = scaled_hpwl(netlist, legal, gamma)

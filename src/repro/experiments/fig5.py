@@ -20,8 +20,7 @@ import os
 import numpy as np
 
 from ..core import ComPLxConfig, ComPLxPlacer
-from ..detailed import DetailedPlacer
-from ..legalize import tetris_legalize
+from ..flow import legalize_and_detail
 from ..models import hpwl
 from ..timing import TimingGraph, nets_on_path, path_length
 from .common import load_design, results_dir
@@ -119,8 +118,7 @@ def run_fig5(
         result = ComPLxPlacer(weighted, ComPLxConfig()).place(
             initial=warm.lower
         )
-        dp = DetailedPlacer(weighted, legalizer=tetris_legalize)
-        legal = dp.place(result.upper)
+        legal, _ = legalize_and_detail(weighted, result.upper, "tetris")
         records.append({
             "factor": factor,
             # Path lengths and HPWL evaluated with the ORIGINAL weights

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
 from typing import Any, Mapping
 
-from ..core import ComPLxConfig
 from ..netlist import Netlist
 from ..serve.attempt import CRASH_EXIT_CODE, Attempt
 from ..serve.worker import build_netlist
@@ -165,7 +164,6 @@ class RaceController:
         netlist: Netlist | None = None,
         workload: dict[str, Any] | None = None,
         aux_root: str | None = None,
-        base_config: ComPLxConfig | None = None,
         base_overrides: dict[str, Any] | None = None,
         max_workers: int | None = None,
         start_method: str | None = None,
@@ -181,8 +179,6 @@ class RaceController:
         self.workload = dict(workload) if workload else None
         self.aux_root = aux_root
         self.base_overrides = dict(base_overrides or {})
-        self.base_config = base_config if base_config is not None \
-            else ComPLxConfig(**self.base_overrides)
         self.max_workers = max_workers if max_workers is not None \
             else max((os.cpu_count() or 2) - 1, 2)
         self._ctx = mp.get_context(start_method) if start_method \

@@ -109,30 +109,26 @@ def build_report(
     diagnosis: Diagnosis | None = None,
     density: np.ndarray | None = None,
     recovery_events: list[dict[str, Any]] | None = None,
-    fingerprints: dict[str, str] | None = None,
 ) -> RunReport:
     """Assemble a :class:`RunReport`.
 
-    ``recovery_events`` and ``fingerprints`` default to what the
-    registry's meta carries (the CLI stashes the supervisor's event list
-    as JSON under ``recovery_events`` and config/netlist digests under
-    ``config_fingerprint``/``netlist_fingerprint``).
+    ``recovery_events`` defaults to what the registry's meta carries
+    (``repro.flow.run_report`` stores the run's event list there as
+    JSON); the fingerprints are the meta's ``config_fingerprint`` /
+    ``netlist_fingerprint`` digests.
     """
     if recovery_events is None:
         encoded = registry.meta.get("recovery_events", "")
         recovery_events = json.loads(encoded) if encoded else []
-    if fingerprints is None:
-        fingerprints = {
-            key: value for key, value in sorted(registry.meta.items())
-            if key.endswith("fingerprint")
-        }
     return RunReport(
         title=title,
         registry=registry,
         diagnosis=diagnosis,
         density=density,
         recovery_events=recovery_events,
-        fingerprints=dict(fingerprints),
+        fingerprints={key: value
+                      for key, value in sorted(registry.meta.items())
+                      if key.endswith("fingerprint")},
     )
 
 

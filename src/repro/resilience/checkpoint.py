@@ -75,11 +75,20 @@ def config_fingerprint(config, netlist) -> str:
 
 
 _HISTORY_FIELDS = tuple(f.name for f in fields(IterationRecord))
+_HISTORY_CASTS = tuple(int if f.type == "int" else float
+                       for f in fields(IterationRecord))
 
 
 @dataclass
 class Checkpoint:
-    """In-memory image of one saved optimizer state."""
+    """One optimizer state: the supervisor's rollback point before every
+    iteration, and the image of a checkpoint file.
+
+    A capture holds references, not copies: the loop rebinds its
+    placements and never mutates them in place, so only the short lists
+    it appends to (the plateau window, the record list, the
+    inconsistent iterations) are copied.
+    """
 
     fingerprint: str
     iteration: int                      # last fully completed iteration
@@ -88,27 +97,19 @@ class Checkpoint:
     schedule: dict                      # value, h, initialized
     stopping: dict                      # pi_initial, recent_ub
     monitor: dict                       # counters + previous iterate pair
-    history: dict                       # per-field column arrays
+    history: list[IterationRecord]     # the run's records so far
     pi_prev: float | None = None
     invariants: dict | None = None      # prev_lam, initial_pi, min_pi
-    version: int = CHECKPOINT_VERSION
     extras: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     # capture / restore against the live loop state
     # ------------------------------------------------------------------
     @classmethod
-    def capture(cls, state, fingerprint: str) -> "Checkpoint":
-        """Snapshot a :class:`repro.core.complx._LoopState` duck-type."""
+    def capture(cls, state, fingerprint: str = "") -> "Checkpoint":
+        """Snapshot a :class:`repro.core.complx._LoopState` duck-type
+        (``fingerprint`` is needed only to write it to a file)."""
         monitor = state.monitor
-        mon = {
-            "consistent": monitor.consistent,
-            "inconsistent": monitor.inconsistent,
-            "premise_failed": monitor.premise_failed,
-            "inconsistent_iterations": list(monitor.inconsistent_iterations),
-            "prev_iterate": _placement_pair(monitor._prev_iterate),
-            "prev_projection": _placement_pair(monitor._prev_projection),
-        }
         invariants = None
         if state.checker is not None:
             invariants = {
@@ -116,15 +117,11 @@ class Checkpoint:
                 "initial_pi": state.checker._initial_pi,
                 "min_pi": state.checker._min_pi,
             }
-        history = {
-            name: [getattr(r, name) for r in state.history.records]
-            for name in _HISTORY_FIELDS
-        }
         return cls(
             fingerprint=fingerprint,
             iteration=state.iteration,
-            lower=state.lower.copy(),
-            upper=state.upper.copy(),
+            lower=state.lower,
+            upper=state.upper,
             schedule={
                 "value": state.schedule.value,
                 "h": state.schedule.h,
@@ -134,67 +131,45 @@ class Checkpoint:
                 "pi_initial": state.stopping._pi_initial,
                 "recent_ub": list(state.stopping._recent_ub),
             },
-            monitor=mon,
-            history=history,
+            monitor={
+                "consistent": monitor.consistent,
+                "inconsistent": monitor.inconsistent,
+                "premise_failed": monitor.premise_failed,
+                "inconsistent_iterations":
+                    list(monitor.inconsistent_iterations),
+                "prev_iterate": monitor._prev_iterate,
+                "prev_projection": monitor._prev_projection,
+            },
+            history=list(state.history.records),
             pi_prev=state.pi_prev,
             invariants=invariants,
         )
 
     def restore_into(self, state) -> None:
-        """Write this checkpoint back into a freshly constructed state."""
+        """Write this state back into the loop state (a rollback, or a
+        freshly constructed state on resume)."""
         state.iteration = self.iteration
-        state.lower = self.lower.copy()
-        state.upper = self.upper.copy()
+        state.lower = self.lower
+        state.upper = self.upper
         state.pi_prev = self.pi_prev
-        state.schedule.value = float(self.schedule["value"])
-        state.schedule.h = float(self.schedule["h"])
-        state.schedule._initialized = bool(self.schedule["initialized"])
+        state.schedule.value = self.schedule["value"]
+        state.schedule.h = self.schedule["h"]
+        state.schedule._initialized = self.schedule["initialized"]
         state.stopping._pi_initial = self.stopping["pi_initial"]
-        state.stopping._recent_ub = [float(v) for v in
-                                     self.stopping["recent_ub"]]
+        state.stopping._recent_ub = list(self.stopping["recent_ub"])
         monitor = state.monitor
-        monitor.consistent = int(self.monitor["consistent"])
-        monitor.inconsistent = int(self.monitor["inconsistent"])
-        monitor.premise_failed = int(self.monitor["premise_failed"])
-        monitor.inconsistent_iterations = [
-            int(i) for i in self.monitor["inconsistent_iterations"]
-        ]
-        monitor._prev_iterate = _pair_placement(self.monitor["prev_iterate"])
-        monitor._prev_projection = _pair_placement(
-            self.monitor["prev_projection"]
-        )
-        state.history.records = [
-            IterationRecord(**{
-                name: _HISTORY_CASTS[name](self.history[name][i])
-                for name in _HISTORY_FIELDS
-            })
-            for i in range(len(self.history["iteration"]))
-        ]
+        monitor.consistent = self.monitor["consistent"]
+        monitor.inconsistent = self.monitor["inconsistent"]
+        monitor.premise_failed = self.monitor["premise_failed"]
+        monitor.inconsistent_iterations = list(
+            self.monitor["inconsistent_iterations"])
+        monitor._prev_iterate = self.monitor["prev_iterate"]
+        monitor._prev_projection = self.monitor["prev_projection"]
+        state.history.records = list(self.history)
         if self.invariants is not None and state.checker is not None:
             state.checker._prev_lam = self.invariants["prev_lam"]
             state.checker._initial_pi = self.invariants["initial_pi"]
             state.checker._min_pi = self.invariants["min_pi"]
-
-
-_HISTORY_CASTS = {
-    name: (int if name in ("iteration", "grid_bins", "cg_iterations")
-           else float)
-    for name in _HISTORY_FIELDS
-}
-
-
-def _placement_pair(placement: Placement | None):
-    if placement is None:
-        return None
-    return placement.x.copy(), placement.y.copy()
-
-
-def _pair_placement(pair) -> Placement | None:
-    if pair is None:
-        return None
-    x, y = pair
-    return Placement(np.asarray(x, dtype=np.float64).copy(),
-                     np.asarray(y, dtype=np.float64).copy())
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +181,7 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> str:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     meta = {
-        "version": ckpt.version,
+        "version": CHECKPOINT_VERSION,
         "fingerprint": ckpt.fingerprint,
         "iteration": ckpt.iteration,
         "pi_prev": ckpt.pi_prev,
@@ -226,14 +201,15 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> str:
         "upper_x": ckpt.upper.x, "upper_y": ckpt.upper.y,
     }
     for name in _HISTORY_FIELDS:
-        arrays[f"hist_{name}"] = np.asarray(ckpt.history[name],
-                                            dtype=np.float64)
-    if ckpt.monitor["prev_iterate"] is not None:
-        arrays["mon_it_x"], arrays["mon_it_y"] = ckpt.monitor["prev_iterate"]
-    if ckpt.monitor["prev_projection"] is not None:
-        arrays["mon_pr_x"], arrays["mon_pr_y"] = (
-            ckpt.monitor["prev_projection"]
-        )
+        arrays[f"hist_{name}"] = np.asarray(
+            [getattr(record, name) for record in ckpt.history],
+            dtype=np.float64)
+    iterate = ckpt.monitor["prev_iterate"]
+    if iterate is not None:
+        arrays["mon_it_x"], arrays["mon_it_y"] = iterate.x, iterate.y
+    projection = ckpt.monitor["prev_projection"]
+    if projection is not None:
+        arrays["mon_pr_x"], arrays["mon_pr_y"] = projection.x, projection.y
     tmp = path + ".tmp"
     with open(tmp, "wb") as handle:
         np.savez(handle, meta=np.frombuffer(
@@ -255,24 +231,25 @@ def load_checkpoint(path: str) -> Checkpoint:
                 )
             monitor = dict(meta["monitor"])
             monitor["prev_iterate"] = (
-                (data["mon_it_x"].copy(), data["mon_it_y"].copy())
+                Placement(data["mon_it_x"], data["mon_it_y"])
                 if meta["has_prev_iterate"] else None
             )
             monitor["prev_projection"] = (
-                (data["mon_pr_x"].copy(), data["mon_pr_y"].copy())
+                Placement(data["mon_pr_x"], data["mon_pr_y"])
                 if meta["has_prev_projection"] else None
             )
-            history = {
-                name: data[f"hist_{name}"].copy().tolist()
-                for name in _HISTORY_FIELDS
-            }
+            columns = [data[f"hist_{name}"].tolist()
+                       for name in _HISTORY_FIELDS]
+            history = [
+                IterationRecord(*(cast(value) for cast, value
+                                  in zip(_HISTORY_CASTS, row)))
+                for row in zip(*columns)
+            ]
             return Checkpoint(
                 fingerprint=meta["fingerprint"],
                 iteration=int(meta["iteration"]),
-                lower=Placement(data["lower_x"].copy(),
-                                data["lower_y"].copy()),
-                upper=Placement(data["upper_x"].copy(),
-                                data["upper_y"].copy()),
+                lower=Placement(data["lower_x"], data["lower_y"]),
+                upper=Placement(data["upper_x"], data["upper_y"]),
                 schedule=meta["schedule"],
                 stopping=meta["stopping"],
                 monitor=monitor,

@@ -11,7 +11,8 @@ is unchanged.
 Recovery model
 --------------
 An iteration is a transaction.  Before running it the Supervisor
-snapshots the loop state (cheap: placements are rebound, never mutated,
+captures the loop state as a :class:`Checkpoint`, the image a
+checkpoint file holds (cheap: placements are rebound, never mutated,
 so references plus a handful of scalars suffice).  A fault inside the
 iteration — an :class:`~repro.core.invariants.InvariantViolation`, a
 :class:`~repro.resilience.policies.NumericalFault` from the NaN/escape
@@ -109,7 +110,7 @@ class Supervisor:
     def run_iteration(self, k: int, state) -> bool:
         """Run one supervised iteration; returns the loop's stop flag."""
         self._iteration = k
-        snapshot = _StateSnapshot(state)
+        snapshot = Checkpoint.capture(state)
         last_error: Exception | None = None
         for attempt in range(self.config.max_retries + 1):
             try:
@@ -124,7 +125,7 @@ class Supervisor:
             except Exception as exc:
                 last_error = exc
                 fault = "numerical"
-            snapshot.restore(state)
+            snapshot.restore_into(state)
             state.lam_scale = self.config.lambda_damping ** (attempt + 1)
             self.log.record(RecoveryEvent(
                 fault=fault, stage="iteration", action="rollback",
@@ -209,56 +210,3 @@ class Supervisor:
             "summary": self.log.summary(),
         }
 
-
-class _StateSnapshot:
-    """Reference/scalar snapshot of the loop state for rollback.
-
-    Placements are rebound (never mutated in place) by the loop, so
-    holding references is sufficient and O(1); mutable containers
-    (history records, the stopping rule's plateau window) are trimmed
-    back to their snapshot length on restore.
-    """
-
-    def __init__(self, state) -> None:
-        self.lower = state.lower
-        self.upper = state.upper
-        self.pi_prev = state.pi_prev
-        self.iteration = state.iteration
-        self.schedule = (state.schedule.value, state.schedule.h,
-                         state.schedule._initialized)
-        self.stopping = (state.stopping._pi_initial,
-                         list(state.stopping._recent_ub))
-        monitor = state.monitor
-        self.monitor = (
-            monitor.consistent, monitor.inconsistent,
-            monitor.premise_failed,
-            len(monitor.inconsistent_iterations),
-            monitor._prev_iterate, monitor._prev_projection,
-        )
-        self.history_len = len(state.history.records)
-        self.stop_reason = state.history.stop_reason
-        self.checker = None
-        if state.checker is not None:
-            self.checker = (state.checker._prev_lam,
-                            state.checker._initial_pi,
-                            state.checker._min_pi)
-
-    def restore(self, state) -> None:
-        state.lower = self.lower
-        state.upper = self.upper
-        state.pi_prev = self.pi_prev
-        state.iteration = self.iteration
-        (state.schedule.value, state.schedule.h,
-         state.schedule._initialized) = self.schedule
-        state.stopping._pi_initial = self.stopping[0]
-        state.stopping._recent_ub = list(self.stopping[1])
-        monitor = state.monitor
-        (monitor.consistent, monitor.inconsistent,
-         monitor.premise_failed, keep,
-         monitor._prev_iterate, monitor._prev_projection) = self.monitor
-        del monitor.inconsistent_iterations[keep:]
-        del state.history.records[self.history_len:]
-        state.history.stop_reason = self.stop_reason
-        if self.checker is not None and state.checker is not None:
-            (state.checker._prev_lam, state.checker._initial_pi,
-             state.checker._min_pi) = self.checker

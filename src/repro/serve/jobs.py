@@ -10,6 +10,7 @@ lock and readers only ever see consistent snapshots.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 import threading
@@ -18,6 +19,7 @@ from typing import Any
 
 from ..core.config import ComPLxConfig
 from ..core.effort import effort_preset
+from ..workloads import SyntheticSpec, suite_names
 from .queue import BACKGROUND_PRIORITY
 
 __all__ = [
@@ -74,6 +76,42 @@ _TENANT_RE = re.compile(r"^[A-Za-z0-9._-]{1,32}$")
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise JobValidationError(message)
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: The JSON values a ``SyntheticSpec`` field accepts, by the field's
+#: annotation (a string: ``repro.workloads.synthetic`` postpones them).
+_JSON_CHECKS = {
+    "str": lambda value: isinstance(value, str),
+    "int": lambda value: _is_int(value) and value >= 0,
+    "float": _is_number,
+    "tuple[int, int]": lambda value: isinstance(value, list)
+    and len(value) == 2 and all(map(_is_int, value)),
+}
+_SYNTHETIC_FIELDS = {f.name: f.type for f in dataclasses.fields(SyntheticSpec)}
+
+
+def _check_synthetic(workload: dict[str, Any]) -> None:
+    """Reject the keys, types and values ``SyntheticSpec`` would refuse
+    in the worker."""
+    fields = {key: value for key, value in workload.items() if key != "kind"}
+    for key, value in fields.items():
+        kind = _SYNTHETIC_FIELDS.get(key)
+        _require(kind is not None,
+                 f"workload.{key} is not a SyntheticSpec field")
+        _require(_JSON_CHECKS[kind](value),
+                 f"workload.{key} must be a {kind}")
+    try:
+        SyntheticSpec(**{"name": "adhoc", **fields})
+    except ValueError as exc:
+        raise JobValidationError(f"workload: {exc}") from None
 
 
 def _non_finite_path(value: Any, path: str) -> str | None:
@@ -152,7 +190,7 @@ class JobSpec:
         _require(isinstance(name, str) and bool(_NAME_RE.match(name)),
                  "name must match [A-Za-z0-9._-]{1,64}")
         priority = payload.get("priority", 5)
-        _require(isinstance(priority, int) and not isinstance(priority, bool)
+        _require(_is_int(priority)
                  and 0 <= priority <= 2 * BACKGROUND_PRIORITY - 1,
                  f"priority must be an integer in "
                  f"[0, {2 * BACKGROUND_PRIORITY - 1}] (0 = most urgent; "
@@ -164,15 +202,16 @@ class JobSpec:
         _require(kind in _WORKLOAD_KINDS,
                  f"workload.kind must be one of {', '.join(_WORKLOAD_KINDS)}")
         if kind == "suite":
-            _require(isinstance(workload.get("suite"), str),
+            _require(workload.get("suite") in suite_names(),
                      "workload.suite (a registered suite name) is required")
             scale = workload.get("scale", 1.0)
-            _require(isinstance(scale, (int, float)) and 0 < scale <= 1,
+            _require(_is_number(scale) and 0 < scale <= 1,
                      "workload.scale must lie in (0, 1]")
         elif kind == "synthetic":
             cells = workload.get("num_cells")
-            _require(isinstance(cells, int) and 2 <= cells <= 200_000,
+            _require(_is_int(cells) and 2 <= cells <= 200_000,
                      "workload.num_cells must be an int in [2, 200000]")
+            _check_synthetic(workload)
         else:
             _require(isinstance(workload.get("path"), str),
                      "workload.path is required for kind aux")
@@ -202,8 +241,7 @@ class JobSpec:
 
         effort = payload.get("effort")
         if effort is not None:
-            _require(isinstance(effort, int)
-                     and not isinstance(effort, bool) and 1 <= effort <= 9,
+            _require(_is_int(effort) and 1 <= effort <= 9,
                      "effort must be an integer in [1, 9]")
         preset = effort_preset(effort) if effort is not None else None
 
@@ -221,7 +259,7 @@ class JobSpec:
 
         deadline = payload.get("deadline_seconds")
         if deadline is not None:
-            _require(isinstance(deadline, (int, float)) and deadline > 0,
+            _require(_is_number(deadline) and deadline > 0,
                      "deadline_seconds must be a positive number")
             try:
                 deadline = float(deadline)
@@ -230,7 +268,7 @@ class JobSpec:
                     "deadline_seconds must be a finite number") from None
         retries = payload.get("max_retries")
         if retries is not None:
-            _require(isinstance(retries, int) and 0 <= retries <= 10,
+            _require(_is_int(retries) and 0 <= retries <= 10,
                      "max_retries must be an int in [0, 10]")
         include_placement = payload.get("include_placement", False)
         _require(isinstance(include_placement, bool),
@@ -267,7 +305,6 @@ class JobRecord:
     error: str | None = None
     result: dict[str, Any] | None = None
     report_html: str | None = None
-    metrics: dict[str, Any] | None = None
     trace_doc: dict[str, Any] | None = None
     run_dir: str | None = None
     enqueued_at: float = 0.0
@@ -331,8 +368,7 @@ class JobRecord:
             return self.attempts
 
     def complete(self, result: dict[str, Any], report_html: str | None,
-                 metrics: dict[str, Any] | None, now: float,
-                 run_dir: str | None = None,
+                 now: float, run_dir: str | None = None,
                  event: dict[str, Any] | None = None) -> None:
         """Succeed with the archived ``run_dir`` and the terminal
         ``event`` in one locked step."""
@@ -342,7 +378,6 @@ class JobRecord:
                     self._events, event, self.keep_events)
             self.result = result
             self.report_html = report_html
-            self.metrics = metrics
             self.run_dir = run_dir
             self.state = JobState.SUCCEEDED
             self.finished_at = now

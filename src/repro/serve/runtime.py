@@ -619,7 +619,7 @@ class JobRuntime:
         except OSError:
             logger.exception("failed to archive %s into the run registry",
                              record.spec.job_id)
-        record.complete(body, report_html, metrics, time.monotonic(),
+        record.complete(body, report_html, time.monotonic(),
                         run_dir=run_dir,
                         event={"stage": "succeeded",
                                "hpwl_legal": body.get("hpwl_legal")})

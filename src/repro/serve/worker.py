@@ -27,25 +27,20 @@ from typing import Any, Callable
 from .. import telemetry
 from ..core import ComPLxConfig, ComPLxPlacer
 from ..core.config import ResilienceConfig
-# Imported here, not in run_job, so a forked worker inherits it instead
-# of importing it on every job.
-from ..detailed import DetailedPlacer
-from ..diagnostics import diagnose
-from ..legalize import abacus_legalize, tetris_legalize
+# Imported here, not in run_job, so a forked worker inherits the flow
+# (detailed placement, legalizers, doctor) instead of importing it on
+# every job.
+from ..flow import legalize_and_detail, run_report
 from ..models import hpwl
 from ..netlist import Netlist, Placement
 from ..netlist.bookshelf import read_aux
-from ..projection.grid import DensityGrid, default_grid_shape
-from ..report import (build_report, record_stage_totals, render_html,
-                      run_fingerprints)
-from ..resilience import legalize_with_fallback
+from ..report import render_html
+from ..resilience import RecoveryLog
 from ..workloads import SyntheticSpec, generate, load_suite
 from .attempt import worker_main
 from .jobs import JobSpec
 
 __all__ = ["build_netlist", "run_job", "worker_entry"]
-
-_LEGALIZERS = {"abacus": abacus_legalize, "tetris": tetris_legalize}
 
 
 def build_netlist(workload: dict[str, Any],
@@ -94,16 +89,6 @@ def _make_config(spec: JobSpec, tier: dict[str, Any]) -> ComPLxConfig:
     return ComPLxConfig(**knobs)
 
 
-def _legalize(netlist: Netlist, placement: Placement,
-              legalizer: str) -> tuple[Placement, str]:
-    if legalizer == "none":
-        return placement, "none"
-    chain = [(legalizer, _LEGALIZERS[legalizer])]
-    if legalizer != "tetris":
-        chain.append(("tetris", tetris_legalize))
-    return legalize_with_fallback(netlist, placement, chain)
-
-
 def run_job(payload: dict[str, Any],
             emit: Callable[[dict[str, Any]], None],
             ship: Callable[[dict[str, Any]], None] | None = None,
@@ -145,42 +130,33 @@ def run_job(payload: dict[str, Any],
               "stop_reason": result.history.stop_reason})
 
         legalizer = tier.get("legalizer") or spec.legalizer
-        final, used_legalizer = _legalize(netlist, result.upper, legalizer)
-        emit({"stage": "legalized", "legalizer": used_legalizer})
         run_detailed = spec.detailed and not tier.get("skip_detailed")
+        log = RecoveryLog()
+        final, used_legalizer = legalize_and_detail(
+            netlist, result.upper, legalizer, run_detailed, log=log,
+        )
+        emit({"stage": "legalized", "legalizer": used_legalizer})
         if run_detailed:
-            final = DetailedPlacer(
-                netlist, legalizer=_LEGALIZERS.get(
-                    used_legalizer, tetris_legalize),
-            ).place(final)
             emit({"stage": "detailed_done"})
 
         registry.merge(result.metrics)
         registry.meta["netlist"] = netlist.name
         registry.meta["tenant"] = spec.tenant
         registry.meta["job_id"] = spec.job_id
-        registry.meta.update(run_fingerprints(netlist, placer.config))
-        record_stage_totals(registry, tracer)
-
         resilience_report = result.extras.get("resilience") or {}
-        recovery_events = resilience_report.get("events", [])
-        bins = default_grid_shape(netlist.num_movable)
-        grid = DensityGrid(netlist, bins, bins)
-        density = grid.utilization(grid.usage(final), config.gamma)
-        diagnosis = diagnose(registry, config=config,
-                             recovery_events=recovery_events)
+        recovery_events = (resilience_report.get("events", [])
+                           + log.as_dicts())
+        report = run_report(
+            registry, netlist, config, final, tracer, gamma=config.gamma,
+            title=f"{spec.tenant}/{spec.name} ({spec.job_id})",
+            recovery_events=recovery_events,
+        )
         emit({"stage": "doctor",
-              "findings": [f.to_json() for f in diagnosis.findings]})
+              "findings": [f.to_json() for f in report.diagnosis.findings]})
         if shipper is not None:
             frame = shipper.flush_frame(force=True)
             if frame is not None:
                 ship(frame)
-        report_html = render_html(build_report(
-            registry,
-            title=f"{spec.tenant}/{spec.name} ({spec.job_id})",
-            diagnosis=diagnosis, density=density,
-            recovery_events=recovery_events,
-        ))
 
         body: dict[str, Any] = {
             "hpwl_legal": float(hpwl(netlist, final)),
@@ -193,7 +169,7 @@ def run_job(payload: dict[str, Any],
                         "nets": netlist.num_nets},
             "recovery_events": recovery_events,
             "metrics": registry.to_dict(),
-            "report_html": report_html,
+            "report_html": render_html(report),
         }
         if spec.include_placement:
             body["placement"] = {"x": [float(v) for v in final.x],

@@ -61,6 +61,10 @@ class SyntheticSpec:
             raise ValueError("utilization must be in (0, 1]")
         if not 0 < self.target_density <= 1:
             raise ValueError("target_density must be in (0, 1]")
+        if self.row_height <= 0 or self.site_width <= 0:
+            raise ValueError("row_height and site_width must be positive")
+        if not 1 <= self.macro_rows[0] <= self.macro_rows[1]:
+            raise ValueError("macro_rows must satisfy 1 <= low <= high")
 
 
 @dataclass

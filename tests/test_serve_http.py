@@ -49,6 +49,12 @@ def poll_done(base, job_id, tenant="t1", timeout=90.0):
     raise AssertionError(f"{job_id} did not finish within {timeout}s")
 
 
+def rejected_invalid(base):
+    _, _, doc = request("GET", f"{base}/metricz")
+    return {c["name"]: c["value"] for c in doc["counters"]
+            }.get("rejected_invalid", 0.0)
+
+
 def payload(cells=40, iterations=8, **overrides):
     base = {
         "name": "http",
@@ -189,12 +195,7 @@ class TestValidationErrors:
     @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
     def test_non_finite_override_400s_and_counts_as_invalid(self, base,
                                                            literal):
-        def rejected_invalid():
-            _, _, doc = request("GET", f"{base}/metricz")
-            return {c["name"]: c["value"] for c in doc["counters"]
-                    }.get("rejected_invalid", 0.0)
-
-        before = rejected_invalid()
+        before = rejected_invalid(base)
         # json.dumps writes a non-finite float as the bare literal that
         # json.loads on the server accepts.
         status, _, body = request(
@@ -202,7 +203,23 @@ class TestValidationErrors:
             payload(config={"max_iterations": float(literal)}))
         assert status == 400
         assert "config.max_iterations" in body["error"]
-        assert rejected_invalid() == before + 1
+        assert rejected_invalid(base) == before + 1
+
+    @pytest.mark.parametrize("overrides, fragment", [
+        ({"workload": {"kind": "synthetic", "num_cells": 20, "bogus": 1}},
+         "workload.bogus"),
+        ({"workload": {"kind": "suite", "suite": "no_such_suite"}},
+         "workload.suite"),
+        ({"deadline_seconds": True}, "deadline_seconds"),
+    ])
+    def test_payload_the_worker_would_fail_on_400s_as_invalid(
+            self, base, overrides, fragment):
+        before = rejected_invalid(base)
+        status, _, body = request("POST", f"{base}/v1/jobs",
+                                  payload(**overrides))
+        assert status == 400
+        assert fragment in body["error"]
+        assert rejected_invalid(base) == before + 1
 
 
 class TestOverload:

@@ -238,6 +238,22 @@ class TestJobSpec:
         ({"legalizer": "greedy"}, "legalizer"),
         ({"deadline_seconds": -5}, "deadline_seconds"),
         ({"max_retries": 99}, "max_retries"),
+        # What the worker would fail on, rejected at submission instead.
+        ({"workload": {"kind": "synthetic", "num_cells": 20, "bogus": 1}},
+         "workload.bogus"),
+        ({"workload": {"kind": "synthetic", "num_cells": 20,
+                       "seed": "abc"}}, "workload.seed"),
+        ({"workload": {"kind": "synthetic", "num_cells": 20,
+                       "row_height": 0.0}}, "row_height"),
+        ({"workload": {"kind": "synthetic", "num_cells": 20,
+                       "num_movable_macros": 1, "macro_rows": [24, 8]}},
+         "macro_rows"),
+        ({"workload": {"kind": "suite", "suite": "no_such_suite"}},
+         "workload.suite"),
+        ({"workload": {"kind": "suite", "suite": "adaptec1_s",
+                       "scale": True}}, "workload.scale"),
+        ({"deadline_seconds": True}, "deadline_seconds"),
+        ({"max_retries": True}, "max_retries"),
     ])
     def test_rejects_malformed_payloads(self, mutation, fragment):
         with pytest.raises(JobValidationError, match=fragment):
